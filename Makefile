@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test check ci lint race vet chaos covergate bench bench-smoke bench-hotpath bench-faults bench-footprint bench-live bench-cluster bench-qos figures examples clean
+.PHONY: all build test check ci lint race vet chaos covergate bench bench-e2e bench-smoke bench-faults bench-footprint bench-live bench-cluster bench-qos figures examples clean
 
 all: build test
 
@@ -19,11 +19,11 @@ test: check
 # under the race detector.
 check: vet lint race
 
-# ci is the full pipeline a hosted runner would execute. The quick hotpath
-# sweep smoke-tests the data-plane optimisations end to end (the full sweep
-# that regenerates BENCH_hotpath.json is the bench-hotpath target), and the
-# chaos suite certifies the degraded-mode contract at volume. The lint run
-# also leaves a machine-readable report at bin/lint-report.json, and the
+# ci is the full pipeline a hosted runner would execute. The chaos suite
+# certifies the degraded-mode contract at volume, and the -quick figure runs
+# smoke-test their harnesses end to end; -quick prints and writes no
+# BENCH_*.json, so ci never replaces committed full-scale results. The lint
+# run also leaves a machine-readable report at bin/lint-report.json, and the
 # analyzer suite itself (call graph, interprocedural rules, fixtures) runs
 # under the race detector explicitly so a lint-framework regression cannot
 # hide behind a cached ./... run.
@@ -31,7 +31,6 @@ ci: build vet lint race chaos
 	$(GO) test ./...
 	$(GO) test -race -count=1 ./internal/analysis/...
 	$(GO) run ./cmd/rased-lint -json > bin/lint-report.json
-	bin/rased-bench -fig hotpath -quick
 	bin/rased-bench -fig footprint -quick
 	bin/rased-bench -fig live -quick
 	bin/rased-bench -fig cluster -quick
@@ -73,11 +72,14 @@ bench:
 bench-smoke: build
 	bin/rased-bench -fig conc -quick
 
-# Full data-plane hot-path sweep: micro kernels, eager-vs-pooled fetch, and
-# the client sweep behind the 2x-at-16-clients acceptance number. Writes the
-# committed BENCH_hotpath.json.
-bench-hotpath: build
-	bin/rased-bench -fig hotpath -out BENCH_hotpath.json
+# The end-to-end benchmark BENCHMARK.json declares (bench/README.md): HTTP
+# request in, rows out, through the shipped server with its default flags,
+# one untraced run per workload. The last stdout line of each run is its
+# JSON result; add `--trace 1` by hand for the per-layer breakdown.
+bench-e2e:
+	for w in dash.recent dash.history export.scan live.mixed routed.history; do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 10 --trace 0 || exit 1; \
+	done
 
 # Chaos availability sweep: fault rates 0 / 0.1% / 1% with degraded-mode
 # fallback on and off, through the same harness as `make chaos`. Writes the
@@ -86,10 +88,9 @@ bench-faults: build
 	bin/rased-bench -fig faults
 
 # Footprint figure: compressed cold tier vs dense v1 pages at 1x and 10x
-# load — index bytes per update, cache entries a 1 GiB budget holds, and
-# p50/p99 latency through each tier. Gated (>=5x bytes/update reduction at
-# 10x, cold p99 <= 1.2x dense); writes the committed BENCH_footprint.json.
-# The -quick variant runs inside `make ci`.
+# load — index bytes per update and p50/p99 latency through each tier. Gated
+# (>=5x bytes/update reduction at 10x, cold p99 <= 1.2x dense); writes the
+# committed BENCH_footprint.json. The -quick variant runs inside `make ci`.
 bench-footprint: build
 	bin/rased-bench -fig footprint
 

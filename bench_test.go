@@ -260,10 +260,10 @@ func BenchmarkIngestDay(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPageDecode compares the two cube read paths on a
-// full-scale (paper geometry, ~4.5 MB) page: fully decoding every cell versus
-// the lazy view that decodes only the filtered sub-cube. This is the design
-// ablation for why the query path uses page views.
+// BenchmarkAblationPageDecode compares the two ways a page becomes a cube on
+// a full-scale (paper geometry, ~4.5 MB) page: allocating a fresh cube per
+// page (the build side's Fetch) versus decoding into a recycled one (the
+// query side's FetchRunPooledCtx).
 func BenchmarkAblationPageDecode(b *testing.B) {
 	schema := cube.DefaultSchema()
 	cb := cube.New(schema)
@@ -273,10 +273,11 @@ func BenchmarkAblationPageDecode(b *testing.B) {
 		cb.Add(rng.Intn(de), rng.Intn(dc), rng.Intn(dr), rng.Intn(du), 1)
 	}
 	page := cube.MarshalPage(cb, temporal.Period{Level: temporal.Daily, Index: 1})
-	filter := cube.Filter{Elements: []int{1}, Countries: []int{5}, UpdateTypes: []int{0}}
+	ap := cube.CompileAgg(schema, cube.Filter{Elements: []int{1}, Countries: []int{5}, UpdateTypes: []int{0}},
+		cube.GroupBy{RoadType: true})
 	dst := make(map[cube.Key]uint64)
 
-	b.Run("full-decode", func(b *testing.B) {
+	b.Run("fresh-cube", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			full, _, err := cube.UnmarshalPage(schema, page)
@@ -284,29 +285,18 @@ func BenchmarkAblationPageDecode(b *testing.B) {
 				b.Fatal(err)
 			}
 			clear(dst)
-			full.AggregateInto(filter, cube.GroupBy{RoadType: true}, dst)
+			full.AggregatePlanInto(ap, dst)
 		}
 	})
-	b.Run("lazy-view", func(b *testing.B) {
+	b.Run("recycled-cube", func(b *testing.B) {
+		scratch := cube.New(schema)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			view, _, err := cube.UnmarshalPageView(schema, page, false)
-			if err != nil {
+			if _, err := cube.UnmarshalPageInto(schema, scratch, page, true); err != nil {
 				b.Fatal(err)
 			}
 			clear(dst)
-			view.AggregateInto(filter, cube.GroupBy{RoadType: true}, dst)
-		}
-	})
-	b.Run("lazy-view-verified", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			view, _, err := cube.UnmarshalPageView(schema, page, true)
-			if err != nil {
-				b.Fatal(err)
-			}
-			clear(dst)
-			view.AggregateInto(filter, cube.GroupBy{RoadType: true}, dst)
+			scratch.AggregatePlanInto(ap, dst)
 		}
 	})
 }

@@ -7,11 +7,10 @@
 //	rased-bench -fig 10        RASED vs scan-based DBMS (Figure 10)
 //	rased-bench -fig size      index size accounting (Section VI-A)
 //	rased-bench -fig alloc     cache allocation ablation (Section VII-A)
-//	rased-bench -fig evict     cache policy ablation: preload vs LRU
+//	rased-bench -fig evict     cache policy ablation: preload vs demand-filled vs none
 //	rased-bench -fig conc      concurrent clients: serial vs parallel fetches
-//	rased-bench -fig hotpath   data-plane hot path: kernels, pooling, sharding, coalescing
 //	rased-bench -fig faults    availability under injected storage faults, fallback on vs off
-//	rased-bench -fig footprint compressed cold tier vs dense pages: bytes/update, cache density, latency
+//	rased-bench -fig footprint compressed cold tier vs dense pages: bytes/update, latency
 //	rased-bench -fig live      live ingest: epoch publication under concurrent dashboard load
 //	rased-bench -fig cluster   scale-out: scatter-gather QPS 1→4→8 shards, hedged tail latency
 //	rased-bench -fig qos       multi-tenant QoS: priority admission, result cache, composed chaos
@@ -19,7 +18,9 @@
 //	rased-bench -fig all       everything
 //
 // Absolute times are not comparable to the paper (scaled data, injected disk
-// model); the reported shapes are. See EXPERIMENTS.md.
+// model); the reported shapes are. See EXPERIMENTS.md. Figures with a
+// committed BENCH_*.json rewrite it on a full run only: -quick prints and
+// writes nothing.
 package main
 
 import (
@@ -50,8 +51,7 @@ func main() {
 		latency = flag.Duration("latency", 200*time.Microsecond, "injected per-page disk latency")
 		seed    = flag.Int64("seed", 1, "workload seed")
 		workers = flag.Int("workers", 64, "fetch worker pool size for the concurrency experiment")
-		quick   = flag.Bool("quick", false, "shrink the concurrency sweep for a smoke run")
-		out     = flag.String("out", "", "also write the hotpath report as JSON to this path")
+		quick   = flag.Bool("quick", false, "shrink the run to a smoke test (writes no BENCH_*.json)")
 		faults  = flag.String("faults", "", "explicit fault-injection spec for -fig faults, overriding the rate sweep (see faultstore.ParseSpec)")
 	)
 	flag.Parse()
@@ -95,8 +95,6 @@ func main() {
 		runEvict(ws, *queries, *seed)
 	case "conc":
 		runConc(ws, *workers, *quick, *seed)
-	case "hotpath":
-		runHotpath(*updates, *workers, *quick, *seed, *out)
 	case "faults":
 		runFaults(*queries, *quick, *seed, *faults)
 	case "footprint":
@@ -125,8 +123,6 @@ func main() {
 		runEvict(ws, *queries, *seed)
 		fmt.Println()
 		runConc(ws, *workers, *quick, *seed)
-		fmt.Println()
-		runHotpath(*updates, *workers, *quick, *seed, *out)
 		fmt.Println()
 		runFaults(*queries, *quick, *seed, *faults)
 		fmt.Println()
@@ -243,42 +239,17 @@ func runConc(ws *benchx.Workspace, workers int, quick bool, seed int64) {
 	benchx.PrintOverload(os.Stdout, over)
 }
 
-func runHotpath(updates, workers int, quick bool, seed int64, out string) {
-	// The hot-path experiment uses its own deployment: a wider schema whose
-	// cubes are closer to the paper's full-scale cell counts, so the
-	// aggregation kernels are measured against realistic per-cube work. The
-	// shared workspace's small cubes would understate the scalar path's cost.
-	cfg := benchx.DefaultWorkspaceConfig()
-	cfg.Years = 4
-	cfg.Countries = 80
-	cfg.RoadTypes = 30
-	cfg.UpdatesPerDay = updates
-	cfg.Seed = seed
-	clients := []int{1, 4, 16}
-	perClient := 64
+// writeFigure persists a figure's committed JSON on full runs. A -quick
+// smoke run (what `make ci` executes) must not replace committed full-scale
+// results with its own, so it writes nothing.
+func writeFigure(quick bool, path string, write func(path string) error) {
 	if quick {
-		cfg.Years = 2
-		clients = []int{1, 4}
-		perClient = 8
+		return
 	}
-	log.Printf("building %d-year hotpath workspace (%d countries x %d road types)...",
-		cfg.Years, cfg.Countries, cfg.RoadTypes)
-	ws, err := benchx.NewWorkspace(cfg)
-	if err != nil {
+	if err := write(path); err != nil {
 		log.Fatal(err)
 	}
-	defer ws.Close()
-	rep, err := benchx.FigHotpath(context.Background(), ws, clients, perClient, workers, seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	benchx.PrintHotpath(os.Stdout, rep)
-	if out != "" {
-		if err := benchx.WriteHotpathJSON(out, rep); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s", out)
-	}
+	log.Printf("wrote %s", path)
 }
 
 func runFaults(queries int, quick bool, seed int64, spec string) {
@@ -303,10 +274,7 @@ func runFaults(queries int, quick bool, seed int64, spec string) {
 		log.Fatal(err)
 	}
 	benchx.PrintFigFaults(os.Stdout, points)
-	if err := benchx.WriteFaultsJSON("BENCH_faults.json", points); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote BENCH_faults.json")
+	writeFigure(quick, "BENCH_faults.json", func(p string) error { return benchx.WriteFaultsJSON(p, points) })
 }
 
 func runFootprint(quick bool, seed int64) {
@@ -316,10 +284,7 @@ func runFootprint(quick bool, seed int64) {
 		log.Fatal(err)
 	}
 	benchx.PrintFigFootprint(os.Stdout, rep)
-	if err := benchx.WriteFootprintJSON("BENCH_footprint.json", rep); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote BENCH_footprint.json")
+	writeFigure(quick, "BENCH_footprint.json", func(p string) error { return benchx.WriteFootprintJSON(p, rep) })
 }
 
 func runLive(quick bool, seed int64) {
@@ -329,10 +294,7 @@ func runLive(quick bool, seed int64) {
 		log.Fatal(err)
 	}
 	benchx.PrintFigLive(os.Stdout, rep)
-	if err := benchx.WriteLiveJSON("BENCH_live.json", rep); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote BENCH_live.json")
+	writeFigure(quick, "BENCH_live.json", func(p string) error { return benchx.WriteLiveJSON(p, rep) })
 }
 
 func runCluster(quick bool, seed int64) {
@@ -344,10 +306,7 @@ func runCluster(quick bool, seed int64) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := benchx.WriteClusterJSON("BENCH_cluster.json", rep); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote BENCH_cluster.json")
+	writeFigure(quick, "BENCH_cluster.json", func(p string) error { return benchx.WriteClusterJSON(p, rep) })
 }
 
 func runQoS(quick bool, seed int64) {
@@ -355,10 +314,7 @@ func runQoS(quick bool, seed int64) {
 	rep, err := benchx.FigQoS(context.Background(), quick, seed)
 	if rep != nil {
 		benchx.PrintFigQoS(os.Stdout, rep)
-		if werr := benchx.WriteQoSJSON("BENCH_qos.json", rep); werr != nil {
-			log.Fatal(werr)
-		}
-		log.Printf("wrote BENCH_qos.json")
+		writeFigure(quick, "BENCH_qos.json", func(p string) error { return benchx.WriteQoSJSON(p, rep) })
 	}
 	if err != nil {
 		log.Fatal(err)

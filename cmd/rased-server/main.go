@@ -58,12 +58,8 @@ func main() {
 		queue        = flag.Int("queue", 0, "max queries queued for admission beyond -max-inflight; excess get 503")
 		queryTimeout = flag.Duration("query-timeout", 0, "per-query execution deadline (0 disables; timeouts get 504)")
 
-		cachePolicy  = flag.String("cache-policy", "preload", "cube cache policy: preload, lru, or sharded")
-		cacheShards  = flag.Int("cache-shards", 0, "shard count for -cache-policy=sharded (0 picks from GOMAXPROCS, rounded to a power of two)")
-		cacheBytes   = flag.Int64("cache-bytes", 0, "byte budget for the demand cube cache (0 = slots only; requires -cache-policy=lru or sharded)")
-		pooledDecode = flag.Bool("pooled-decode", false, "decode cache misses into pooled cubes (requires -cache-policy=lru or sharded)")
-		coalesce     = flag.Bool("coalesce-reads", false, "read runs of adjacent cube pages with one I/O")
-		scalarAgg    = flag.Bool("scalar-agg", false, "disable the vectorized aggregation kernels (debugging)")
+		cachePolicy = flag.String("cache-policy", "preload", "cube cache policy: preload or sharded")
+		cacheBytes  = flag.Int64("cache-bytes", 0, "byte budget for the demand cube cache (0 = slots only; requires -cache-policy=sharded)")
 
 		compact         = flag.Bool("compact", false, "run a background compactor migrating cold periods into compressed extents")
 		compactInterval = flag.Duration("compact-interval", time.Hour, "sweep period for -compact")
@@ -135,11 +131,7 @@ func main() {
 		MaxInflight:       *maxInflight,
 		MaxQueue:          *queue,
 		CachePolicy:       *cachePolicy,
-		CacheShards:       *cacheShards,
 		CacheBytes:        *cacheBytes,
-		PooledDecode:      *pooledDecode,
-		CoalesceReads:     *coalesce,
-		ScalarKernels:     *scalarAgg,
 		ReadRetries:       *readRetries,
 		ReadRetryBackoff:  *retryBackoff,
 		DegradedFallback:  !*noFallback,

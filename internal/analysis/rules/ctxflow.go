@@ -12,8 +12,8 @@ import (
 //   - context.Background() and context.TODO() are banned outside package
 //     main, test files (not loaded by the lint loader), and the documented
 //     compat shims — a function whose whole body forwards to its own
-//     FooCtx/FooContext variant (tindex.FetchView, cache.Fetcher.Fetch,
-//     pagestore.ReadPage, core.Engine.Analyze);
+//     FooCtx/FooContext variant (tindex.Fetch, pagestore.ReadPage,
+//     core.Engine.Analyze);
 //   - a function that has a context.Context in scope must not call the
 //     context-less variant of a callee that also provides a FooCtx or
 //     FooContext form — exactly the drift that would silently detach

@@ -8,8 +8,6 @@ import (
 
 	"rased/internal/cache"
 	"rased/internal/core"
-	"rased/internal/plan"
-	"rased/internal/temporal"
 )
 
 // AllocationPoint is one measurement of the cache-allocation ablation.
@@ -85,79 +83,44 @@ func AblationAllocation(ws *Workspace, allocs []NamedAllocation, slots int,
 
 // EvictionPoint is one measurement of the cache-policy ablation.
 type EvictionPoint struct {
-	Policy     string // "preload" | "lru" | "none"
+	Policy     string // "preload" | "demand" | "none"
 	SpanMonths int
 	AvgDisk    float64
 }
 
 // AblationEviction compares the paper's statically preloaded recency cache
-// against a demand-filled LRU of the same capacity (and against no cache) on
-// the recency-skewed single-cell workload. Both policies drive the level
-// optimizer's cost model through their residency sets; disk reads per query
-// are the outcome. The preload policy pays nothing to learn the hot set; LRU
-// discovers it from the stream and can additionally retain old-but-rehit
-// cubes the static policy never holds.
+// against the demand-filled sharded cache of the same capacity (and against
+// no cache) on the recency-skewed single-cell workload, one engine per
+// policy. Both caches drive the level optimizer's cost model through their
+// residency sets; disk reads per query are the outcome. The preload policy
+// pays nothing to learn the hot set; the demand cache discovers it from the
+// stream and can additionally retain old-but-rehit cubes the static policy
+// never holds.
 func AblationEviction(ws *Workspace, slots int, spanMonths []int, queries int, seed int64) ([]EvictionPoint, error) {
+	policies := []struct {
+		name string
+		opts core.Options
+	}{
+		{"preload", core.Options{CacheSlots: slots, CachePolicy: "preload", LevelOptimization: true}},
+		{"demand", core.Options{CacheSlots: slots, CachePolicy: "sharded", LevelOptimization: true}},
+		{"none", core.Options{CacheSlots: 0, LevelOptimization: true}},
+	}
 	var out []EvictionPoint
-
-	// Policy 1: the paper's preloaded recency cache.
-	pre, err := cache.New(slots, cache.DefaultAllocation)
-	if err != nil {
-		return nil, err
-	}
-	if err := pre.Preload(ws.Index); err != nil {
-		return nil, err
-	}
-	preFetch := cache.Fetcher{Cache: pre, Src: ws.Index}
-
-	// Policy 2: demand-filled LRU of the same capacity.
-	lru, err := cache.NewLRU(slots)
-	if err != nil {
-		return nil, err
-	}
-	lruFetch := cache.LRUFetcher{LRU: lru, Src: ws.Index}
-
-	type policy struct {
-		name  string
-		view  plan.CacheView // nil = nothing resident
-		fetch func(p temporal.Period) (resident bool, err error)
-	}
-	policies := []policy{
-		{"preload", pre, func(p temporal.Period) (bool, error) {
-			hit := pre.Contains(p)
-			_, err := preFetch.Fetch(p)
-			return hit, err
-		}},
-		{"lru", lru, func(p temporal.Period) (bool, error) {
-			hit := lru.Contains(p)
-			_, err := lruFetch.Fetch(p)
-			return hit, err
-		}},
-		{"none", nil, func(p temporal.Period) (bool, error) {
-			_, err := ws.Index.FetchView(p)
-			return false, err
-		}},
-	}
-
 	for _, pol := range policies {
+		eng, err := ws.newEngine(pol.opts)
+		if err != nil {
+			return nil, err
+		}
 		for _, span := range spanMonths {
 			rng := rand.New(rand.NewSource(seed + int64(span)))
 			disk := 0
 			for q := 0; q < queries; q++ {
 				lo, hi := ws.recentWindow(rng, span*30)
-				pl, err := plan.Optimize(lo, hi, temporal.Yearly, ws.Index, pol.view)
+				res, err := eng.Analyze(ws.singleCellQuery(rng, lo, hi))
 				if err != nil {
 					return nil, err
 				}
-				for _, p := range pl.Periods {
-					hit, err := pol.fetch(p)
-					if err != nil {
-						return nil, err
-					}
-					if !hit {
-						disk++
-					}
-				}
+				disk += res.Stats.DiskReads
 			}
 			out = append(out, EvictionPoint{
 				Policy:     pol.name,
@@ -171,7 +134,7 @@ func AblationEviction(ws *Workspace, slots int, spanMonths []int, queries int, s
 
 // PrintAblationEviction renders the eviction-policy ablation.
 func PrintAblationEviction(w io.Writer, points []EvictionPoint) {
-	fmt.Fprintln(w, "Ablation: cache policy (preload vs LRU vs none) — avg disk reads per query")
+	fmt.Fprintln(w, "Ablation: cache policy (preload vs demand vs none) — avg disk reads per query")
 	var spans []int
 	seen := map[int]bool{}
 	for _, p := range points {
@@ -185,7 +148,7 @@ func PrintAblationEviction(w io.Writer, points []EvictionPoint) {
 		fmt.Fprintf(w, "%12s", fmt.Sprintf("%d mo", s))
 	}
 	fmt.Fprintln(w)
-	for _, name := range []string{"preload", "lru", "none"} {
+	for _, name := range []string{"preload", "demand", "none"} {
 		fmt.Fprintf(w, "%-12s", name)
 		for _, s := range spans {
 			for _, p := range points {

@@ -348,12 +348,12 @@ func TestAblationEvictionShape(t *testing.T) {
 	for _, span := range []int{1, 6} {
 		none := get("none", span)
 		pre := get("preload", span)
-		lru := get("lru", span)
+		demand := get("demand", span)
 		if pre.AvgDisk >= none.AvgDisk {
 			t.Errorf("span %d: preload (%.2f) should beat no cache (%.2f)", span, pre.AvgDisk, none.AvgDisk)
 		}
-		if lru.AvgDisk >= none.AvgDisk {
-			t.Errorf("span %d: LRU (%.2f) should beat no cache (%.2f)", span, lru.AvgDisk, none.AvgDisk)
+		if demand.AvgDisk >= none.AvgDisk {
+			t.Errorf("span %d: demand cache (%.2f) should beat no cache (%.2f)", span, demand.AvgDisk, none.AvgDisk)
 		}
 	}
 	var buf bytes.Buffer

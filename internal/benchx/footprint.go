@@ -23,8 +23,8 @@ import (
 // Footprint experiment: what the compressed cold tier buys at scale. For each
 // load scale the same deployment is measured twice — dense v1 pages (the hot
 // tier) and then fully compacted into v2 extents — so the pairs isolate the
-// encoding: index bytes per ingested update, resident cache entries a 1 GiB
-// byte budget holds, and query latency through each tier. The figure is the
+// encoding: index bytes per ingested update and query latency through each
+// tier. The figure is the
 // evidence for the storage claim: the compressed tier must shrink bytes per
 // update several-fold while keeping p99 within a small factor of dense.
 
@@ -39,8 +39,6 @@ type FootprintPoint struct {
 	DensePerUpd  float64 `json:"dense_bytes_per_update"`
 	ColdPerUpd   float64 `json:"cold_bytes_per_update"`
 	Reduction    float64 `json:"reduction"` // dense_bytes_per_update / cold_bytes_per_update
-	DensePerGB   float64 `json:"dense_cache_entries_per_gb"`
-	ColdPerGB    float64 `json:"cold_cache_entries_per_gb"`
 	DenseP50Usec float64 `json:"dense_p50_usec"`
 	DenseP99Usec float64 `json:"dense_p99_usec"`
 	ColdP50Usec  float64 `json:"cold_p50_usec"`
@@ -138,11 +136,8 @@ func footprintAtScale(ctx context.Context, p footprintParams, scale int, seed in
 	}
 	pt := &FootprintPoint{Scale: scale, Days: p.days, Periods: len(ps), Updates: updates}
 
-	// Dense tier: file footprint, cache density, query latency.
+	// Dense tier: file footprint, query latency.
 	pt.DenseBytes = ix.Tiers().HotFileBytes
-	if pt.DensePerGB, err = cacheEntriesPerGB(ctx, ix); err != nil {
-		return nil, err
-	}
 	if pt.DenseP50Usec, pt.DenseP99Usec, err = footprintLatency(ctx, ix, p, seed); err != nil {
 		return nil, err
 	}
@@ -156,9 +151,6 @@ func footprintAtScale(ctx context.Context, p footprintParams, scale int, seed in
 		return nil, fmt.Errorf("compacted %d of %d periods (%+v)", st.Compacted, len(ps), st)
 	}
 	pt.ColdBytes = ix.Tiers().ColdFileBytes
-	if pt.ColdPerGB, err = cacheEntriesPerGB(ctx, ix); err != nil {
-		return nil, err
-	}
 	if pt.ColdP50Usec, pt.ColdP99Usec, err = footprintLatency(ctx, ix, p, seed); err != nil {
 		return nil, err
 	}
@@ -176,33 +168,12 @@ func footprintAtScale(ctx context.Context, p footprintParams, scale int, seed in
 	return pt, nil
 }
 
-// cacheEntriesPerGB reads every daily period as the demand cache would (a
-// cheap view: lazy over dense payloads, compact for compressed ones) and
-// returns how many average-sized entries a 1 GiB byte budget holds.
-func cacheEntriesPerGB(ctx context.Context, ix *tindex.Index) (float64, error) {
-	days := ix.Periods(temporal.Daily)
-	var total int64
-	for _, d := range days {
-		v, err := ix.FetchViewCtx(ctx, d)
-		if err != nil {
-			return 0, err
-		}
-		total += int64(cube.ReaderBytes(v))
-	}
-	if total == 0 {
-		return 0, nil
-	}
-	avg := float64(total) / float64(len(days))
-	return float64(1<<30) / avg, nil
-}
-
 // footprintLatency runs a fixed single-client query mix with caching off —
 // every query pays the storage path of whichever tier currently holds the
 // data — and returns p50/p99 in microseconds.
 func footprintLatency(ctx context.Context, ix *tindex.Index, p footprintParams, seed int64) (p50, p99 float64, err error) {
 	opts := core.DefaultOptions()
 	opts.CacheSlots = 0 // no residency: measure the fetch+decode path
-	opts.CoalesceReads = true
 	eng, err := core.NewEngine(ix, opts)
 	if err != nil {
 		return 0, 0, err
@@ -246,8 +217,6 @@ func PrintFigFootprint(w io.Writer, rep *FootprintReport) {
 			pt.Scale, pt.Updates, pt.Days, pt.Periods)
 		fmt.Fprintf(w, "    index bytes/update: %.1f dense -> %.1f compressed (%.1fx reduction)\n",
 			pt.DensePerUpd, pt.ColdPerUpd, pt.Reduction)
-		fmt.Fprintf(w, "    cache entries per GiB: %.0f dense -> %.0f compressed\n",
-			pt.DensePerGB, pt.ColdPerGB)
 		fmt.Fprintf(w, "    query latency: p50 %.0fus/p99 %.0fus dense vs p50 %.0fus/p99 %.0fus compressed (p99 ratio %.2f)\n",
 			pt.DenseP50Usec, pt.DenseP99Usec, pt.ColdP50Usec, pt.ColdP99Usec, pt.P99Ratio)
 	}

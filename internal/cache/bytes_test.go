@@ -1,86 +1,13 @@
 package cache
 
-// Byte-budget tests: the caches account resident cube bytes via
-// cube.ReaderBytes and evict from the LRU end when a budget is set, so a
-// fixed memory envelope holds many more compact (compressed-tier) readers
-// than dense cubes.
+// Byte-budget test: the sharded cache accounts resident cube bytes via
+// cube.ReaderBytes and evicts from each shard's LRU end when a budget is set.
 
 import (
 	"testing"
 
 	"rased/internal/cube"
 )
-
-func TestLRUByteBudget(t *testing.T) {
-	l, err := NewLRU(100) // slot capacity far above what the byte budget allows
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := newFakeSource(30)
-	c0, _ := src.Fetch(day(0))
-	per := int64(cube.ReaderBytes(c0))
-	if per <= 0 {
-		t.Fatalf("ReaderBytes = %d", per)
-	}
-	l.SetByteBudget(3 * per)
-
-	for i := 0; i < 6; i++ {
-		cb, _ := src.Fetch(day(i))
-		l.Put(day(i), cb)
-	}
-	if l.Len() != 3 {
-		t.Fatalf("len = %d, want 3 (budget %d B, %d B/cube)", l.Len(), 3*per, per)
-	}
-	if got := l.Bytes(); got != 3*per {
-		t.Fatalf("bytes = %d, want %d", got, 3*per)
-	}
-	// LRU-end eviction: the three most recent inserts survive.
-	for i := 0; i < 3; i++ {
-		if l.Contains(day(i)) {
-			t.Errorf("day %d should have been evicted", i)
-		}
-	}
-	for i := 3; i < 6; i++ {
-		if !l.Contains(day(i)) {
-			t.Errorf("day %d should be resident", i)
-		}
-	}
-
-	// Shrinking the budget evicts immediately.
-	l.SetByteBudget(per)
-	if l.Len() != 1 || l.Bytes() != per {
-		t.Fatalf("after shrink: len %d / %d B, want 1 / %d B", l.Len(), l.Bytes(), per)
-	}
-
-	// Removing the budget restores slot-only behavior.
-	l.SetByteBudget(0)
-	for i := 0; i < 6; i++ {
-		cb, _ := src.Fetch(day(i))
-		l.Put(day(i), cb)
-	}
-	if l.Len() != 6 {
-		t.Fatalf("unlimited budget: len = %d, want 6", l.Len())
-	}
-}
-
-func TestLRUByteBudgetReplaceAccounting(t *testing.T) {
-	l, err := NewLRU(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := newFakeSource(30)
-	cb, _ := src.Fetch(day(0))
-	l.Put(day(0), cb)
-	before := l.Bytes()
-	// Re-putting the same period must not double-charge.
-	l.Put(day(0), cb)
-	if got := l.Bytes(); got != before {
-		t.Fatalf("re-put changed bytes %d -> %d", before, got)
-	}
-	if l.Len() != 1 {
-		t.Fatalf("len = %d", l.Len())
-	}
-}
 
 func TestShardedByteBudget(t *testing.T) {
 	// One shard so the per-level budget split is deterministic.
@@ -107,5 +34,21 @@ func TestShardedByteBudget(t *testing.T) {
 	s.SetByteBudget(per)
 	if got := s.Bytes(); got > per {
 		t.Fatalf("after shrink: resident bytes %d exceed budget %d", got, per)
+	}
+
+	// Removing the budget restores slot-only behaviour, and re-putting a
+	// resident period must not double-charge it.
+	s.SetByteBudget(0)
+	for i := 0; i < 6; i++ {
+		cb, _ := src.Fetch(day(i))
+		s.Put(day(i), cb)
+	}
+	before, n := s.Bytes(), s.Len()
+	if n < 6 {
+		t.Fatalf("unlimited budget: len = %d, want >= 6", n)
+	}
+	s.Put(day(0), c0)
+	if got := s.Bytes(); got != before || s.Len() != n {
+		t.Fatalf("re-put changed accounting: %d B / %d entries -> %d B / %d", before, n, got, s.Len())
 	}
 }

@@ -6,7 +6,6 @@
 package cache
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -89,21 +88,10 @@ type Stats struct {
 	Misses int64
 }
 
-// Source lists and fetches cubes; *tindex.Index satisfies it. Fetch fully
-// decodes a cube (used by Preload, which pays the cost once); FetchView
-// returns a lazy page view for the per-query path.
+// Source lists and fetches cubes for Preload; *tindex.Index satisfies it.
 type Source interface {
 	Periods(lvl temporal.Level) []temporal.Period
 	Fetch(p temporal.Period) (*cube.Cube, error)
-	FetchView(p temporal.Period) (cube.Reader, error)
-}
-
-// CtxSource is implemented by sources whose view fetches honor a context
-// (*tindex.Index does); Fetcher.FetchCtx uses it when available so
-// cancellation reaches the disk read.
-type CtxSource interface {
-	Source
-	FetchViewCtx(ctx context.Context, p temporal.Period) (cube.Reader, error)
 }
 
 // Cache pins recent cubes in memory per the allocation policy.
@@ -224,36 +212,3 @@ func (c *Cache) Stats() Stats { return c.met.stats() }
 
 // ResetStats zeroes the hit/miss counters.
 func (c *Cache) ResetStats() { c.met.reset() }
-
-// Fetcher serves cube fetches from the cache, falling back to the underlying
-// source on miss.
-type Fetcher struct {
-	Cache *Cache // may be nil: pure pass-through
-	Src   Source
-}
-
-// Fetch returns a readable cube for p: the pinned in-memory cube on hit, a
-// lazy page view from the source on miss.
-func (f Fetcher) Fetch(p temporal.Period) (cube.Reader, error) {
-	return f.FetchCtx(context.Background(), p)
-}
-
-// FetchCtx is Fetch honoring a context on the miss path: when the source
-// supports cancellable reads (CtxSource), an expired ctx stops the disk work
-// instead of completing it. Cache hits ignore ctx — they cost no I/O.
-func (f Fetcher) FetchCtx(ctx context.Context, p temporal.Period) (cube.Reader, error) {
-	if f.Cache != nil {
-		if cb, ok := f.Cache.Get(p); ok {
-			return cb, nil
-		}
-	}
-	if cs, ok := f.Src.(CtxSource); ok {
-		return cs.FetchViewCtx(ctx, p)
-	}
-	return f.Src.FetchView(p)
-}
-
-// Contains reports whether p would be served from memory.
-func (f Fetcher) Contains(p temporal.Period) bool {
-	return f.Cache != nil && f.Cache.Contains(p)
-}

@@ -47,8 +47,9 @@ func (s *fakeSource) Fetch(p temporal.Period) (*cube.Cube, error) {
 	return cb, nil
 }
 
-func (s *fakeSource) FetchView(p temporal.Period) (cube.Reader, error) {
-	return s.Fetch(p)
+// day returns the i-th daily period of the fake source's window.
+func day(i int) temporal.Period {
+	return temporal.DayPeriod(temporal.NewDay(2021, time.January, 1) + temporal.Day(i))
 }
 
 func TestAllocationValidate(t *testing.T) {
@@ -231,42 +232,5 @@ func TestZeroSlotCache(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Error("zero-slot cache should stay empty")
-	}
-}
-
-func TestFetcher(t *testing.T) {
-	src := newFakeSource(30)
-	c, _ := New(10, Allocation{1, 0, 0, 0})
-	c.Preload(src)
-	f := Fetcher{Cache: c, Src: src}
-	days := src.periods[temporal.Daily]
-
-	src.fetched = nil
-	cb, err := f.Fetch(days[len(days)-1])
-	if err != nil || cb == nil {
-		t.Fatal(err)
-	}
-	if len(src.fetched) != 0 {
-		t.Error("cached fetch should not hit the source")
-	}
-	if !f.Contains(days[len(days)-1]) {
-		t.Error("Contains should report cached period")
-	}
-	_, err = f.Fetch(days[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(src.fetched) != 1 {
-		t.Error("uncached fetch should hit the source")
-	}
-
-	// Nil cache is a pass-through.
-	nf := Fetcher{Src: src}
-	src.fetched = nil
-	if _, err := nf.Fetch(days[5]); err != nil {
-		t.Fatal(err)
-	}
-	if len(src.fetched) != 1 || nf.Contains(days[5]) {
-		t.Error("nil-cache fetcher misbehaved")
 	}
 }

@@ -21,85 +21,7 @@ import (
 // GetAtLeast returns the cached cube for p if its stamp is at least minEpoch,
 // marking it most recently used. An entry below minEpoch counts as a miss but
 // is left in place: the caller's refetch overwrites it with fresher content.
-func (l *LRU) GetAtLeast(p temporal.Period, minEpoch uint64) (cube.Reader, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	el, ok := l.entries[p]
-	if !ok || el.Value.(*lruEntry).epoch < minEpoch {
-		l.met.Misses[p.Level].Inc()
-		return nil, false
-	}
-	l.met.Hits[p.Level].Inc()
-	l.order.MoveToFront(el)
-	return el.Value.(*lruEntry).cb, true
-}
-
-// PutEpoch is Put with a freshness stamp. An existing entry with a newer
-// stamp is promoted but not overwritten — replacing fresher content with an
-// older read would reintroduce the staleness GetAtLeast exists to prevent.
-func (l *LRU) PutEpoch(p temporal.Period, cb cube.Reader, epoch uint64) {
-	if l.capacity == 0 {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if el, ok := l.entries[p]; ok {
-		e := el.Value.(*lruEntry)
-		if epoch >= e.epoch {
-			sz := int64(cube.ReaderBytes(cb))
-			l.bytes += sz - e.size
-			e.cb, e.epoch, e.size = cb, epoch, sz
-		}
-		l.order.MoveToFront(el)
-		l.evictOverflow()
-		return
-	}
-	e := &lruEntry{p: p, cb: cb, epoch: epoch, size: int64(cube.ReaderBytes(cb))}
-	l.bytes += e.size
-	l.entries[p] = l.order.PushFront(e)
-	l.evictOverflow()
-}
-
-// PutColdEpoch is PutCold with a freshness stamp (see PutEpoch).
-func (l *LRU) PutColdEpoch(p temporal.Period, cb cube.Reader, epoch uint64) {
-	if l.capacity == 0 {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if el, ok := l.entries[p]; ok {
-		e := el.Value.(*lruEntry)
-		if epoch >= e.epoch {
-			sz := int64(cube.ReaderBytes(cb))
-			l.bytes += sz - e.size
-			e.cb, e.epoch, e.size = cb, epoch, sz
-		}
-		l.evictOverflow()
-		return
-	}
-	e := &lruEntry{p: p, cb: cb, epoch: epoch, size: int64(cube.ReaderBytes(cb))}
-	l.bytes += e.size
-	l.entries[p] = insertCold(l.order, l.capacity, e)
-	l.evictOverflow()
-}
-
-// evictOverflow drops least-recently-used entries while the cache exceeds
-// its slot capacity or its byte budget. Callers hold l.mu.
-func (l *LRU) evictOverflow() {
-	for l.order.Len() > 0 &&
-		(l.order.Len() > l.capacity || (l.byteBudget > 0 && l.bytes > l.byteBudget)) {
-		victim := l.order.Back()
-		l.order.Remove(victim)
-		ve := victim.Value.(*lruEntry)
-		delete(l.entries, ve.p)
-		l.bytes -= ve.size
-		l.met.Evictions[ve.p.Level].Inc()
-	}
-}
-
-// GetAtLeast returns the cached cube for p if its stamp is at least minEpoch
-// (see LRU.GetAtLeast).
-func (s *Sharded) GetAtLeast(p temporal.Period, minEpoch uint64) (cube.Reader, bool) {
+func (s *Sharded) GetAtLeast(p temporal.Period, minEpoch uint64) (*cube.Cube, bool) {
 	sh := s.groups[p.Level].shardFor(p.Index)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -113,8 +35,10 @@ func (s *Sharded) GetAtLeast(p temporal.Period, minEpoch uint64) (cube.Reader, b
 	return el.Value.(*lruEntry).cb, true
 }
 
-// PutEpoch is Put with a freshness stamp (see LRU.PutEpoch).
-func (s *Sharded) PutEpoch(p temporal.Period, cb cube.Reader, epoch uint64) {
+// PutEpoch is Put with a freshness stamp. An existing entry with a newer
+// stamp is promoted but not overwritten — replacing fresher content with an
+// older read would reintroduce the staleness GetAtLeast exists to prevent.
+func (s *Sharded) PutEpoch(p temporal.Period, cb *cube.Cube, epoch uint64) {
 	sh := s.groups[p.Level].shardFor(p.Index)
 	if sh.capacity == 0 {
 		return
@@ -138,8 +62,8 @@ func (s *Sharded) PutEpoch(p temporal.Period, cb cube.Reader, epoch uint64) {
 	sh.evictOverflow()
 }
 
-// PutColdEpoch is PutCold with a freshness stamp (see LRU.PutEpoch).
-func (s *Sharded) PutColdEpoch(p temporal.Period, cb cube.Reader, epoch uint64) {
+// PutColdEpoch is PutCold with a freshness stamp (see PutEpoch).
+func (s *Sharded) PutColdEpoch(p temporal.Period, cb *cube.Cube, epoch uint64) {
 	sh := s.groups[p.Level].shardFor(p.Index)
 	if sh.capacity == 0 {
 		return

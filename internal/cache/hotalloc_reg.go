@@ -8,9 +8,6 @@
 package cache
 
 var HotPathFuncs = []string{
-	"(*LRU).Get",
-	"(*LRU).GetAtLeast",
-	"(*LRU).Contains",
 	"(*Sharded).Get",
 	"(*Sharded).GetAtLeast",
 	"(*Sharded).Contains",

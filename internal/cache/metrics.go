@@ -6,9 +6,9 @@ import (
 )
 
 // Metrics are a cache's obs instruments: per-level hit/miss/eviction
-// counters plus a residency gauge. Both the preload cache and the LRU carry
-// one, distinguished by a policy label so a deployment can register either
-// (or both, in ablation harnesses) without series collisions. The counters
+// counters plus a residency gauge. Both the preload cache and the sharded
+// cache carry one, distinguished by a policy label so a deployment can
+// register either (or both, in ablation harnesses) without series collisions. The counters
 // back the Stats() API, so legacy polling and /metrics always agree.
 type Metrics struct {
 	Hits      [temporal.NumLevels]*obs.Counter

@@ -22,7 +22,7 @@ import (
 // shard lock and merged into the shared obs counters only at snapshot points
 // (Stats, ResetStats, and the residency gauge evaluated on every /metrics
 // scrape), so the hot path never touches a cross-shard atomic. The exported
-// series are the same rased_cache_* families as the other policies,
+// series are the same rased_cache_* families as the preload policy's,
 // distinguished by policy="sharded".
 type Sharded struct {
 	slots  int
@@ -39,6 +39,20 @@ type shardGroup struct {
 	shift  uint // 64 - log2(len(shards))
 }
 
+// lruEntry is one resident cube in a shard's recency list.
+type lruEntry struct {
+	p  temporal.Period
+	cb *cube.Cube
+	// epoch is the index epoch the cached content is known to be at least as
+	// fresh as (0 for batch deployments, where cubes never change in place).
+	// Live ingest republishes periods under new epochs; GetAtLeast treats an
+	// entry below the required epoch as a miss so a refetch replaces it.
+	epoch uint64
+	// size is the cube's resident footprint (cube.ReaderBytes) at insert
+	// time, charged against the byte budget.
+	size int64
+}
+
 // shard is one independently locked LRU with its locally buffered stats.
 type shard struct {
 	capacity int
@@ -47,7 +61,7 @@ type shard struct {
 	order   *list.List // front = most recently used; values are *lruEntry
 	entries map[int]*list.Element
 	// byteBudget caps this shard's resident cube bytes (0 = unlimited);
-	// bytes is the current total of entry sizes (see LRU).
+	// bytes is the current total of entry sizes.
 	byteBudget int64
 	bytes      int64
 
@@ -188,7 +202,7 @@ func (s *Sharded) Bytes() int64 {
 
 // Get returns the cached cube for p, marking it most recently used within
 // its shard and recording a hit or miss.
-func (s *Sharded) Get(p temporal.Period) (cube.Reader, bool) {
+func (s *Sharded) Get(p temporal.Period) (*cube.Cube, bool) {
 	sh := s.groups[p.Level].shardFor(p.Index)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -203,15 +217,33 @@ func (s *Sharded) Get(p temporal.Period) (cube.Reader, bool) {
 }
 
 // Put inserts a cube for p, evicting the shard's least recently used entry
-// at capacity. Evicted readers are simply dropped: pooled cubes donated to
-// the cache are owned by it and fall to the garbage collector (see DESIGN.md,
-// "Hot-path memory model"). Levels with a zero budget store nothing.
-func (s *Sharded) Put(p temporal.Period, cb cube.Reader) { s.PutEpoch(p, cb, 0) }
+// at capacity. Evicted cubes are simply dropped: a decoded cube the cache
+// adopted may still be in use by a query, so it falls to the garbage
+// collector instead of returning to the page pool (see DESIGN.md, "Hot-path
+// memory model"). Levels with a zero budget store nothing.
+func (s *Sharded) Put(p temporal.Period, cb *cube.Cube) { s.PutEpoch(p, cb, 0) }
 
-// PutCold inserts a cube at its shard's cold end — midpoint insertion, see
-// LRU.PutCold. Bulk run reads admit scanned cubes through here so they evict
-// each other rather than the shard's hot working set.
-func (s *Sharded) PutCold(p temporal.Period, cb cube.Reader) { s.PutColdEpoch(p, cb, 0) }
+// PutCold inserts a cube at its shard's cold end — a quarter of the capacity
+// up from the eviction point (InnoDB's midpoint insertion). Cubes pulled in
+// by multi-page run reads enter here: a scan's pages age out by evicting each
+// other instead of displacing the hot working set, while a page the workload
+// actually revisits is promoted to the hot end by its next Get. An entry that
+// is already cached is refreshed in place without promotion.
+func (s *Sharded) PutCold(p temporal.Period, cb *cube.Cube) { s.PutColdEpoch(p, cb, 0) }
+
+// insertCold places e a quarter of the capacity up from the back of order,
+// walking at most capacity/4 links. A list shorter than that is all cold:
+// the entry goes to the back and ages out first.
+func insertCold(order *list.List, capacity int, e *lruEntry) *list.Element {
+	pos := order.Back()
+	for i := 0; i < capacity/4 && pos != nil; i++ {
+		pos = pos.Prev()
+	}
+	if pos == nil {
+		return order.PushBack(e)
+	}
+	return order.InsertAfter(e, pos)
+}
 
 // Contains reports residency without touching the counters or recency order
 // (the level optimizer uses this to cost plans).

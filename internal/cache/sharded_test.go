@@ -60,7 +60,7 @@ func TestShardedLayout(t *testing.T) {
 	}
 }
 
-func testReader(t *testing.T) cube.Reader {
+func testReader(t *testing.T) *cube.Cube {
 	t.Helper()
 	cb := cube.New(cube.ScaledSchema(3, 2))
 	cb.Add(0, 0, 0, 0, 7)

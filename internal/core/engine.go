@@ -48,32 +48,12 @@ type Options struct {
 	// reached; beyond it AnalyzeContext fails fast with exec.ErrRejected.
 	MaxQueue int
 	// CachePolicy selects the cube cache: "preload" (default, the paper's
-	// statically preloaded recency cache), "lru" (demand-filled, single
-	// mutex), or "sharded" (demand-filled, hash-sharded for concurrent
-	// access).
+	// statically preloaded recency cache) or "sharded" (demand-filled,
+	// hash-sharded for concurrent access, one shard per CPU).
 	CachePolicy string
-	// CacheShards is the shard count per level for the "sharded" policy;
-	// 0 picks one per CPU (rounded up to a power of two).
-	CacheShards int
 	// CacheBytes caps the demand cache's resident cube bytes (0 = no byte
-	// cap; slots alone bound the cache). Compressed cold-tier readers are far
-	// smaller than dense cubes, so a byte budget lets the same memory
-	// envelope hold much more compacted history. Demand policies only.
+	// cap; slots alone bound the cache). "sharded" policy only.
 	CacheBytes int64
-	// PooledDecode decodes cache misses into pooled cubes instead of
-	// allocating a page buffer and cube per miss. Requires a demand cache
-	// policy ("lru" or "sharded"): decoded cubes are donated to the cache,
-	// which must own their lifecycle (see DESIGN.md, "Hot-path memory
-	// model").
-	PooledDecode bool
-	// CoalesceReads merges plan fetches whose pages are adjacent on disk
-	// into single multi-page reads: one syscall and one disk-latency charge
-	// per run instead of per page.
-	CoalesceReads bool
-	// ScalarKernels disables the vectorized aggregation kernels, running
-	// every cube through the scalar reference loop (the pre-optimization
-	// baseline, kept for benchmarks and cross-checks).
-	ScalarKernels bool
 	// ReadRetries is how many extra attempts the index makes when a page
 	// read fails transiently (wrapping pagestore.ErrTransient), with
 	// jittered exponential backoff starting at ReadRetryBackoff. 0 (the
@@ -123,27 +103,12 @@ func DefaultOptions() Options {
 	}
 }
 
-// demandCache is the interface the engine needs from a demand-filled cube
-// cache; *cache.LRU and *cache.Sharded both satisfy it.
-type demandCache interface {
-	Get(p temporal.Period) (cube.Reader, bool)
-	GetAtLeast(p temporal.Period, minEpoch uint64) (cube.Reader, bool)
-	Put(p temporal.Period, cb cube.Reader)
-	PutEpoch(p temporal.Period, cb cube.Reader, epoch uint64)
-	PutCold(p temporal.Period, cb cube.Reader)
-	PutColdEpoch(p temporal.Period, cb cube.Reader, epoch uint64)
-	Contains(p temporal.Period) bool
-	Stats() cache.Stats
-	ResetStats()
-	Metrics() *cache.Metrics
-}
-
 // Engine answers analysis queries against a hierarchical temporal index.
 type Engine struct {
 	ix     *tindex.Index
 	reg    *geo.Registry
-	cache  *cache.Cache // non-nil only under the "preload" policy
-	demand demandCache  // non-nil only under the "lru"/"sharded" policies
+	cache  *cache.Cache   // non-nil only under the "preload" policy
+	demand *cache.Sharded // non-nil only under the "sharded" policy
 	opts   Options
 	met    *EngineMetrics
 
@@ -185,15 +150,6 @@ func NewEngine(ix *tindex.Index, opts Options) (*Engine, error) {
 	if policy == "" {
 		policy = "preload"
 	}
-	if opts.PooledDecode && (policy != "lru" && policy != "sharded") {
-		return nil, fmt.Errorf("core: PooledDecode requires a demand cache policy (lru or sharded), got %q", policy)
-	}
-	if opts.PooledDecode && opts.CacheSlots <= 0 {
-		// Pooled decode donates every decoded cube to the demand cache; with
-		// no cache there is no owner to donate to and every miss would leak
-		// its pooled scratch cube.
-		return nil, fmt.Errorf("core: PooledDecode requires CacheSlots > 0 (decoded cubes are donated to the cache)")
-	}
 	if opts.ReadRetries < 0 {
 		return nil, fmt.Errorf("core: ReadRetries must be >= 0, got %d", opts.ReadRetries)
 	}
@@ -201,7 +157,7 @@ func NewEngine(ix *tindex.Index, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("core: CacheBytes must be >= 0, got %d", opts.CacheBytes)
 	}
 	if opts.CacheBytes > 0 && (policy == "preload" || opts.CacheSlots <= 0) {
-		return nil, fmt.Errorf("core: CacheBytes requires a demand cache policy (lru or sharded) with CacheSlots > 0")
+		return nil, fmt.Errorf("core: CacheBytes requires the sharded cache policy with CacheSlots > 0")
 	}
 	if opts.ReadRetries > 0 {
 		ix.SetRetryPolicy(tindex.RetryPolicy{Attempts: opts.ReadRetries, Backoff: opts.ReadRetryBackoff})
@@ -221,17 +177,8 @@ func NewEngine(ix *tindex.Index, opts Options) (*Engine, error) {
 				return nil, err
 			}
 			e.cache = c
-		case "lru":
-			l, err := cache.NewLRU(opts.CacheSlots)
-			if err != nil {
-				return nil, err
-			}
-			if opts.CacheBytes > 0 {
-				l.SetByteBudget(opts.CacheBytes)
-			}
-			e.demand = l
 		case "sharded":
-			s, err := cache.NewSharded(opts.CacheSlots, alloc, opts.CacheShards)
+			s, err := cache.NewSharded(opts.CacheSlots, alloc, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -293,13 +240,15 @@ func (e *Engine) CacheStats() (cache.Stats, bool) {
 
 // cacheGet probes the active cache, counting a hit or miss. For a period the
 // live pipeline has republished, a demand-cache hit must be at least as fresh
-// as the required epoch; a preload hit is refused outright (the preload cache
-// is read-only at query time, so it can never be refreshed — MarkLiveUpdate
-// already invalidated the entry, this guards the refill-free window).
-func (e *Engine) cacheGet(p temporal.Period) (cube.Reader, bool) {
+// as the required epoch; a preload hit is refused outright and counted as the
+// miss it is (the preload cache is read-only at query time, so it can never
+// be refreshed — MarkLiveUpdate already invalidated the entry, this guards
+// the refill-free window).
+func (e *Engine) cacheGet(p temporal.Period) (*cube.Cube, bool) {
 	req := e.requiredEpoch(p)
 	if e.cache != nil {
 		if req > 0 {
+			e.cache.Metrics().Misses[p.Level].Inc()
 			return nil, false
 		}
 		return e.cache.Get(p)
@@ -311,23 +260,6 @@ func (e *Engine) cacheGet(p temporal.Period) (cube.Reader, bool) {
 		return e.demand.Get(p)
 	}
 	return nil, false
-}
-
-// cachePut fills the demand cache, stamping the entry with the index epoch
-// the content is known to be at least as fresh as; preload caches are
-// read-only at query time, so this is a no-op under the preload policy.
-func (e *Engine) cachePut(p temporal.Period, rd cube.Reader, epoch uint64) {
-	if e.demand != nil {
-		e.demand.PutEpoch(p, rd, epoch)
-	}
-}
-
-// cachePutCold admits a run-fetched cube at the demand cache's cold end:
-// scanned pages must not displace the hot working set (see LRU.PutCold).
-func (e *Engine) cachePutCold(p temporal.Period, rd cube.Reader, epoch uint64) {
-	if e.demand != nil {
-		e.demand.PutColdEpoch(p, rd, epoch)
-	}
 }
 
 // cacheContains reports residency in the active cache without touching the
@@ -476,7 +408,7 @@ func (e *Engine) analyzeAdmitted(ctx context.Context, q Query, restrict *restric
 	// queue behind the executions they would duplicate. The epoch is loaded
 	// once here — it is both the hit-freshness floor and, after a miss, the
 	// conservative stamp for the computed result (loaded before execution,
-	// as in fetchDisk).
+	// as in fetchRun).
 	ckey, cacheable := e.resultCacheKey(q, restrict)
 	var epoch uint64
 	if cacheable {
@@ -537,7 +469,6 @@ func (e *Engine) analyze(ctx context.Context, q Query, tb *traceBuilder, restric
 			return &Result{}, nil
 		}
 	}
-	gb := cubeGroupBy(q.GroupBy)
 
 	res := &Result{}
 	lo, hi, ok := e.clip(q.From, q.To)
@@ -556,55 +487,22 @@ func (e *Engine) analyze(ctx context.Context, q Query, tb *traceBuilder, restric
 		}
 	}
 
-	// Compile the aggregation once per query: filter masks are resolved and
-	// the kernel shape dispatched here, not per cube. The merge loop is
-	// serial, so one plan (with its scratch buffers) serves every period.
-	var ap *cube.AggPlan
-	if !e.opts.ScalarKernels {
-		ap = cube.CompileAgg(e.ix.Schema(), filter, gb)
+	endStage = tb.stage("plan")
+	buckets, err := e.planBuckets(q.GroupBy.Date, lo, hi)
+	endStage()
+	if err != nil {
+		return nil, err
 	}
 
 	groups := make(map[rowKey]uint64)
-	if q.GroupBy.Date == None {
-		endStage = tb.stage("plan")
-		pl, err := e.planWindow(lo, hi)
-		endStage()
-		if err != nil {
-			return nil, err
-		}
-		endStage = tb.stage("aggregate")
-		err = e.aggregatePlan(ctx, pl, filter, gb, ap, rowKey{}, groups, res, tb)
-		endStage()
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// Date-grouped query: one bucket per period at the requested
-		// granularity; each bucket is covered independently (partial edge
-		// buckets decompose into finer cubes).
-		endStage = tb.stage("aggregate")
-		lvl := q.GroupBy.Date.Level()
-		for _, b := range dateBuckets(lvl, lo, hi) {
-			bucket := rowKey{p: b.p, hasPeriod: true}
-			if b.lo == b.p.Start() && b.hi == b.p.End() && e.ix.Has(b.p) {
-				if err := e.aggregatePeriods(ctx, filter, gb, ap, bucket, groups, res, tb, b.p); err != nil {
-					endStage()
-					return nil, err
-				}
-				continue
-			}
-			pl, err := plan.Optimize(b.lo, b.hi, e.maxLevelBelow(lvl), planAvail{e.ix}, e.cacheView())
-			if err != nil {
-				endStage()
-				return nil, err
-			}
-			e.met.PlanPeriods.ObserveValue(float64(len(pl.Periods)))
-			if err := e.aggregatePlan(ctx, pl, filter, gb, ap, bucket, groups, res, tb); err != nil {
-				endStage()
-				return nil, err
-			}
-		}
-		endStage()
+	endStage = tb.stage("aggregate")
+	// The aggregation is compiled once per query: filter masks are resolved
+	// and the kernel shape dispatched here, not per cube.
+	ap := cube.CompileAgg(e.ix.Schema(), filter, cubeGroupBy(q.GroupBy))
+	err = e.aggregate(ctx, buckets, ap, groups, res, tb)
+	endStage()
+	if err != nil {
+		return nil, err
 	}
 
 	endStage = tb.stage("build_rows")
@@ -673,19 +571,48 @@ func (e *Engine) cacheView() plan.CacheView {
 	return nil
 }
 
-// planWindow runs the level optimizer (or the flat plan) over [lo, hi].
-func (e *Engine) planWindow(lo, hi temporal.Day) (*plan.Plan, error) {
-	var pl *plan.Plan
-	var err error
-	if !e.opts.LevelOptimization {
-		pl, err = plan.Flat(lo, hi, planAvail{e.ix}, e.cacheView())
-	} else {
-		pl, err = plan.Optimize(lo, hi, e.maxLevel(), planAvail{e.ix}, e.cacheView())
-	}
-	if err == nil {
+// bucketPlan is one date bucket's cover: the row-key label and the cubes the
+// level optimizer chose for it, in chronological order.
+type bucketPlan struct {
+	bucket  rowKey
+	periods []temporal.Period
+}
+
+// planBuckets plans every bucket of a query over the clipped window [lo, hi].
+// A date-grouped query has one bucket per period at the requested
+// granularity, each covered independently (a whole bucket the index holds is
+// its own cube; partial edge buckets decompose into finer cubes); a query
+// that does not group by date is the one-bucket case. Analyze and Explain
+// both plan through here.
+func (e *Engine) planBuckets(g Granularity, lo, hi temporal.Day) ([]bucketPlan, error) {
+	cover := func(lo, hi temporal.Day, maxLevel temporal.Level) ([]temporal.Period, error) {
+		pl, err := plan.Optimize(lo, hi, maxLevel, planAvail{e.ix}, e.cacheView())
+		if err != nil {
+			return nil, err
+		}
 		e.met.PlanPeriods.ObserveValue(float64(len(pl.Periods)))
+		return pl.Periods, nil
 	}
-	return pl, err
+	if g == None {
+		ps, err := cover(lo, hi, e.maxLevel())
+		return []bucketPlan{{periods: ps}}, err
+	}
+	lvl := g.Level()
+	buckets := dateBuckets(lvl, lo, hi)
+	out := make([]bucketPlan, len(buckets))
+	for i, b := range buckets {
+		out[i].bucket = rowKey{p: b.p, hasPeriod: true}
+		if b.lo == b.p.Start() && b.hi == b.p.End() && e.ix.Has(b.p) {
+			out[i].periods = []temporal.Period{b.p}
+			continue
+		}
+		ps, err := cover(b.lo, b.hi, e.maxLevelBelow(lvl))
+		if err != nil {
+			return nil, err
+		}
+		out[i].periods = ps
+	}
+	return out, nil
 }
 
 // maxLevelBelow caps the optimizer at strictly finer levels than lvl, so a
@@ -695,209 +622,130 @@ func (e *Engine) maxLevelBelow(lvl temporal.Level) temporal.Level {
 	if lvl > temporal.Daily && lvl-1 < max {
 		max = lvl - 1
 	}
-	if !e.opts.LevelOptimization {
-		max = temporal.Daily
-	}
 	return max
 }
 
-// aggregatePlan fetches every period of a plan and folds it into groups under
-// the bucket's date key.
-func (e *Engine) aggregatePlan(ctx context.Context, pl *plan.Plan, f cube.Filter, gb cube.GroupBy,
-	ap *cube.AggPlan, bucket rowKey, groups map[rowKey]uint64, res *Result, tb *traceBuilder) error {
-	return e.aggregatePeriods(ctx, f, gb, ap, bucket, groups, res, tb, pl.Periods...)
-}
+// resolveBudget bounds the decoded cube bytes one query holds between resolve
+// and fold: a day-grouped query over years of history plans thousands of
+// cubes, and resolving them all at once would pin gigabytes at paper scale.
+// Plans are resolved in windows of this many bytes, and never fewer cubes
+// than there are fetch workers, so large pages keep the pool busy. A window
+// also bounds a run: adjacent pages coalesce within one window only.
+const resolveBudget = 16 << 20
 
-// fetchedCube is one resolved plan period: a readable cube plus how it was
-// obtained, recorded for stats and the query trace.
-type fetchedCube struct {
-	rd       cube.Reader
-	cached   bool // served from the recency cache
-	shared   bool // disk fetch deduplicated onto another query's read
-	fellBack bool // reconstructed from constituent cubes (degraded mode)
-}
-
-// aggregatePeriods resolves the periods to readable cubes — fanning uncached
-// fetches across the shared worker pool, optionally coalescing page-adjacent
-// misses into single multi-page reads — then folds them into groups serially,
-// in plan order, so stats, metrics, and traces stay deterministic.
-func (e *Engine) aggregatePeriods(ctx context.Context, f cube.Filter, gb cube.GroupBy,
-	ap *cube.AggPlan, bucket rowKey, groups map[rowKey]uint64, res *Result, tb *traceBuilder,
-	periods ...temporal.Period) error {
-	fetched := make([]fetchedCube, len(periods))
-	// failed captures per-slot fetch failures the degraded-mode fallback may
-	// replan around, instead of cancelling the whole fan-out. Each slot is
-	// written by exactly one task (same happens-before discipline as
-	// fetched); slots stay nil when fallback is disabled.
-	var failed []error
-	if e.opts.DegradedFallback {
-		failed = make([]error, len(periods))
-	}
-	var err error
-	if e.opts.CoalesceReads {
-		err = e.fetchCoalesced(ctx, periods, fetched, failed)
-	} else {
-		err = e.pool.FanOut(ctx, len(periods), func(i int) error {
-			fc, ferr := e.fetchCube(ctx, periods[i])
-			if ferr != nil {
-				if failed != nil && fallbackEligible(ferr) {
-					failed[i] = ferr
-					return nil
-				}
-				return ferr
-			}
-			fetched[i] = fc
-			return nil
-		})
-	}
-	if err != nil {
-		return err
-	}
-	// Degraded-mode pass: replan each failed slot from its constituent
-	// cubes. Serial — replans are rare and recursion reuses the pooled
-	// fetch machinery internally.
-	for i, ferr := range failed {
-		if ferr == nil {
-			continue
+// aggregate resolves the planned periods to cubes, a bounded window at a
+// time, and folds them into groups serially in plan order under each
+// bucket's date key, so stats, metrics, and traces stay deterministic. The
+// fold is serial, so one compiled aggregation (with its scratch buffers)
+// serves every cube.
+func (e *Engine) aggregate(ctx context.Context, buckets []bucketPlan, ap *cube.AggPlan,
+	groups map[rowKey]uint64, res *Result, tb *traceBuilder) error {
+	var periods []temporal.Period
+	var keys []rowKey
+	for _, b := range buckets {
+		for _, p := range b.periods {
+			periods = append(periods, p)
+			keys = append(keys, b.bucket)
 		}
-		rd, rerr := e.fetchFallback(ctx, periods[i], res)
-		if rerr != nil {
-			return rerr
-		}
-		fetched[i] = fetchedCube{rd: rd, fellBack: true}
 	}
+	window := max(resolveBudget/(8*e.ix.Schema().CellCount()), e.pool.Workers(), 1)
 	scratch := make(map[cube.Key]uint64)
-	for i, p := range periods {
-		fc := fetched[i]
-		res.Stats.CubesFetched++
-		e.met.CubesRead[p.Level].Inc()
-		tb.addPeriod(bucket, p, fc.cached, fc.fellBack)
-		if fc.cached {
-			res.Stats.CacheHits++
-		} else {
-			res.Stats.DiskReads++
-			if fc.shared {
-				res.Stats.SharedFetches++
-			}
-			if tb != nil && !fc.fellBack {
-				if _, slots, _, ok := e.ix.ExtentOf(p); ok {
-					tb.addPages(slots)
+	for start := 0; start < len(periods); start += window {
+		end := start + window
+		if end > len(periods) {
+			end = len(periods)
+		}
+		rs, err := e.resolve(ctx, periods[start:end])
+		if err != nil {
+			return err
+		}
+		for i, r := range rs {
+			p, bucket := periods[start+i], keys[start+i]
+			if r.err != nil {
+				// Degraded mode: replan the unreadable cube from its
+				// constituents. Serial — replans are rare.
+				if !e.opts.DegradedFallback {
+					return r.err
 				}
+				cb, err := e.fetchFallback(ctx, p, res)
+				if err != nil {
+					return err
+				}
+				r = resolved{cb: cb, fellBack: true}
+			}
+			res.Stats.CubesFetched++
+			e.met.CubesRead[p.Level].Inc()
+			tb.addPeriod(bucket, p, r.cached, r.fellBack)
+			if r.cached {
+				res.Stats.CacheHits++
+			} else {
+				res.Stats.DiskReads++
+				if r.shared {
+					res.Stats.SharedFetches++
+				}
+				tb.addPages(r.pages)
+			}
+			for k := range scratch {
+				delete(scratch, k)
+			}
+			res.Total += r.cb.AggregatePlanInto(ap, scratch)
+			for k, v := range scratch {
+				rk := bucket
+				rk.k = k
+				groups[rk] += v
 			}
 		}
-		for k := range scratch {
-			delete(scratch, k)
-		}
-		var total uint64
-		if ap != nil {
-			total = fc.rd.AggregatePlanInto(ap, scratch)
-		} else {
-			total = fc.rd.AggregateInto(f, gb, scratch)
-		}
-		res.Total += total
-		for k, v := range scratch {
-			rk := bucket
-			rk.k = k
-			groups[rk] += v
-		}
+		e.release(rs)
 	}
 	return nil
 }
 
-// fetchCube resolves one period to a readable cube: the in-memory cube on a
-// cache hit, otherwise a disk fetch (see fetchMiss).
-func (e *Engine) fetchCube(ctx context.Context, p temporal.Period) (fetchedCube, error) {
-	if rd, ok := e.cacheGet(p); ok {
-		return fetchedCube{rd: rd, cached: true}, nil
-	}
-	return e.fetchMiss(ctx, p)
+// resolved is one period turned into a cube, plus how it was obtained,
+// recorded for stats and the query trace. err is a storage failure the
+// degraded-mode fallback may replan around; cb is nil exactly when it is set.
+type resolved struct {
+	cb       *cube.Cube
+	err      error
+	run      *runCubes // on the first slot of a run this query must leave
+	pages    int       // store pages read for it (0 when cached or reconstructed)
+	cached   bool      // served from the cube cache
+	shared   bool      // disk read deduplicated onto another query's
+	fellBack bool      // reconstructed from constituent cubes (degraded mode)
 }
 
-// fetchMiss resolves a cache miss from disk. Concurrent queries needing the
-// same uncached cube share one disk read through the singleflight group; the
-// leader fetch runs detached from this query's cancellation (one page read is
-// bounded work, and waiters with live contexts still want the result), while
-// cancellation is enforced upstream by the pool not scheduling further
-// fetches.
-func (e *Engine) fetchMiss(ctx context.Context, p temporal.Period) (fetchedCube, error) {
-	if e.flight == nil {
-		rd, err := e.fetchDisk(ctx, p)
-		return fetchedCube{rd: rd}, err
-	}
-	key := strconv.Itoa(int(p.Level)) + "/" + strconv.Itoa(p.Index)
-	if req := e.requiredEpoch(p); req > 0 {
-		// A flight started before a publish would hand all waiters the
-		// pre-publish content; keying by the required epoch keeps a reader
-		// that already demands fresher data off the stale flight.
-		key += "@" + strconv.FormatUint(req, 10)
-	}
-	lctx := context.WithoutCancel(ctx)
-	v, shared, err := e.flight.Do(key, func() (any, error) {
-		return e.fetchDisk(lctx, p)
-	})
-	if err != nil {
-		return fetchedCube{}, err
-	}
-	return fetchedCube{rd: v.(cube.Reader), shared: shared}, nil
-}
-
-// fetchDisk performs the actual page read for one period and fills the demand
-// cache. Under PooledDecode the page decodes into a pooled cube which is then
-// donated to the cache: the cache owns it from here on, and it is never
-// returned to the pool (the donation model — see DESIGN.md, "Hot-path memory
-// model").
-func (e *Engine) fetchDisk(ctx context.Context, p temporal.Period) (cube.Reader, error) {
-	// The epoch stamp is loaded before the page read: the content read is at
-	// least as fresh as the directory was at this point, so the stamp is a
-	// valid lower bound (a conservative stamp only costs a refetch).
-	ep := e.ix.Epoch()
-	if e.opts.PooledDecode {
-		cb, err := e.ix.FetchPooledCtx(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		e.cachePut(p, cb, ep)
-		return cb, nil
-	}
-	rd, err := e.ix.FetchViewCtx(ctx, p)
-	if err != nil {
+// resolve turns periods into cubes; it is the engine's only read path, used
+// by every query shape and by the degraded-mode reconstruction. The cache is
+// probed serially (hit accounting follows plan order); the misses are grouped
+// into runs of pages adjacent on disk — hot pages and cold extents live in
+// separate files, so a run never crosses tiers, and a lone page is a run of
+// one — and each run is read with one I/O on the shared worker pool. A
+// storage failure is recorded in its period's slot for the caller to replan
+// around or report; anything else (cancellation, a period the index has no
+// cube for) fails the call.
+func (e *Engine) resolve(ctx context.Context, periods []temporal.Period) ([]resolved, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	e.cachePut(p, rd, ep)
-	return rd, nil
-}
-
-// fetchCoalesced resolves periods like the per-period fan-out, but groups
-// cache misses whose pages are adjacent on disk into runs, each served by one
-// multi-page read. The cache probe runs serially first (hit accounting is
-// identical to the uncoalesced path); only the runs fan out. When failed is
-// non-nil (degraded fallback on), a run that fails on a bad page is retried
-// per page so one corrupt cube doesn't take out its whole run, and the
-// individually failing slots are recorded for the fallback pass instead of
-// aborting the query.
-func (e *Engine) fetchCoalesced(ctx context.Context, periods []temporal.Period, fetched []fetchedCube, failed []error) error {
-	// Misses carry their tier: hot pages and cold extents live in separate
-	// files, so a run never crosses tiers. Within a tier, adjacency means
-	// the next page starts where the previous one ends — a stride of one
-	// fixed page in the hot store, `slots` 4 KiB slots in the cold store.
+	out := make([]resolved, len(periods))
 	type miss struct {
-		i, page, slots int
-		cold           bool
+		i, page int
+		cold    bool
 	}
-	misses := make([]miss, 0, len(periods))
+	var misses []miss
 	for i, p := range periods {
-		if rd, ok := e.cacheGet(p); ok {
-			fetched[i] = fetchedCube{rd: rd, cached: true}
+		if cb, ok := e.cacheGet(p); ok {
+			out[i] = resolved{cb: cb, cached: true}
 			continue
 		}
 		page, slots, cold, ok := e.ix.ExtentOf(p)
 		if !ok {
-			return fmt.Errorf("core: no cube for period %v", p)
+			return nil, fmt.Errorf("core: %w %v", tindex.ErrNoCube, p)
 		}
-		misses = append(misses, miss{i: i, page: page, slots: slots, cold: cold})
+		out[i].pages = slots
+		misses = append(misses, miss{i: i, page: page, cold: cold})
 	}
 	if len(misses) == 0 {
-		return nil
+		return out, nil
 	}
 	sort.Slice(misses, func(a, b int) bool {
 		if misses[a].cold != misses[b].cold {
@@ -905,122 +753,154 @@ func (e *Engine) fetchCoalesced(ctx context.Context, periods []temporal.Period, 
 		}
 		return misses[a].page < misses[b].page
 	})
-	var runs [][]miss
-	start := 0
-	for k := 1; k <= len(misses); k++ {
-		if k == len(misses) || misses[k].cold != misses[k-1].cold ||
-			misses[k].page != misses[k-1].page+misses[k-1].slots {
-			runs = append(runs, misses[start:k])
-			start = k
+	// Within a tier, adjacency means the next page starts where the previous
+	// one ends: a stride of one fixed page in the hot store, the extent's
+	// 4 KiB slots in the cold store.
+	var runs [][]int
+	var run []int
+	for k, m := range misses {
+		if k > 0 {
+			prev := misses[k-1]
+			if m.cold != prev.cold || m.page != prev.page+out[prev.i].pages {
+				runs = append(runs, run)
+				run = nil
+			}
 		}
+		run = append(run, m.i)
 	}
-	return e.pool.FanOut(ctx, len(runs), func(r int) error {
-		run := runs[r]
-		if len(run) == 1 {
-			fc, err := e.fetchMiss(ctx, periods[run[0].i])
-			if err != nil {
-				if failed != nil && fallbackEligible(err) {
-					failed[run[0].i] = err
-					return nil
-				}
-				return err
-			}
-			fetched[run[0].i] = fc
-			return nil
-		}
-		ps := make([]temporal.Period, len(run))
-		for j, m := range run {
-			ps[j] = periods[m.i]
-		}
-		rds, shared, err := e.fetchRun(ctx, ps)
-		if err == nil {
-			for j, m := range run {
-				fetched[m.i] = fetchedCube{rd: rds[j], shared: shared}
-			}
-			return nil
-		}
-		if errors.Is(err, tindex.ErrNotAdjacent) {
-			// A live publish moved a republished period to a fresh page
-			// between the PageOf probe and the coalesced read. Per-period
-			// fetches see a consistent directory; retry the run that way.
-			for _, m := range run {
-				fc, ferr := e.fetchMiss(ctx, periods[m.i])
-				if ferr != nil {
-					if failed != nil && fallbackEligible(ferr) {
-						failed[m.i] = ferr
-						continue
-					}
-					return ferr
-				}
-				fetched[m.i] = fc
-			}
-			return nil
-		}
-		if failed == nil || !fallbackEligible(err) {
-			return err
-		}
-		// The coalesced read hit a bad page somewhere in the run. Refetch
-		// each member individually: healthy pages still resolve, and only
-		// the actually-broken ones go to the fallback pass.
-		for _, m := range run {
-			fc, ferr := e.fetchMiss(ctx, periods[m.i])
-			if ferr != nil {
-				if fallbackEligible(ferr) {
-					failed[m.i] = ferr
-					continue
-				}
-				return ferr
-			}
-			fetched[m.i] = fc
-		}
-		return nil
+	runs = append(runs, run)
+	err := e.pool.FanOut(ctx, len(runs), func(r int) error {
+		return e.readRun(ctx, periods, runs[r], out)
 	})
+	return out, err
 }
 
-// fetchRun reads one run of page-adjacent periods with a single coalesced
-// I/O, admitting every cube at the demand cache's COLD end (PutCold): a run
-// is a scan, and inserting 30+ cold cubes per scan at the hot end would evict
-// the recency working set the dashboard's warm queries live on. Midpoint
-// admission lets scan pages age out against each other while pages the
-// workload revisits are promoted by their next hit — the same reason InnoDB
-// gives bulk scans the old sublist instead of the head of the buffer pool.
-// Overlapping queries hitting the same run share the read through the
-// singleflight group, keyed by the run's first and last periods (page
-// adjacency makes that unambiguous); pooled cubes are donated to the cache
-// exactly as in the singleton miss path.
-func (e *Engine) fetchRun(ctx context.Context, ps []temporal.Period) ([]cube.Reader, bool, error) {
-	fetch := func(ctx context.Context) ([]cube.Reader, error) {
-		ep := e.ix.Epoch() // pre-read lower bound, as in fetchDisk
-		if e.opts.PooledDecode {
-			cubes, err := e.ix.FetchRunPooledCtx(ctx, ps)
-			if err != nil {
-				return nil, err
-			}
-			rds := make([]cube.Reader, len(cubes))
-			for i, cb := range cubes {
-				e.cachePutCold(ps[i], cb, ep)
-				rds[i] = cb
-			}
-			return rds, nil
+// readRun fills the slots of one run. A run that fails as a whole — a bad
+// page somewhere in it, a transient fault, or a live publish or compaction
+// that moved a page between the ExtentOf probe and the read (ErrNotAdjacent)
+// — is retried page by page: healthy pages still resolve against a
+// consistent directory, and only the actually broken ones keep their error.
+func (e *Engine) readRun(ctx context.Context, periods []temporal.Period, run []int, out []resolved) error {
+	ps := make([]temporal.Period, len(run))
+	for j, i := range run {
+		ps[j] = periods[i]
+	}
+	rc, shared, err := e.fetchRun(ctx, ps)
+	if err == nil {
+		for j, i := range run {
+			out[i].cb, out[i].shared = rc.cubes[j], shared
 		}
-		views, err := e.ix.FetchRunCtx(ctx, ps)
+		if e.demand == nil {
+			out[run[0]].run = rc
+		}
+		return nil
+	}
+	if !fallbackEligible(err) {
+		return err
+	}
+	if len(run) == 1 {
+		out[run[0]].err = err
+		return nil
+	}
+	for _, i := range run {
+		if err := e.readRun(ctx, periods, []int{i}, out); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runCubes is the decoded result of one run read, plus the number of queries
+// still folding it. With no demand cache to adopt them, a run's cubes belong
+// to the queries that read them — the one that issued the read and any that
+// joined it through the singleflight group — and return to the index's cube
+// pool when the last of those has folded: allocating and zeroing a fresh
+// cube per missed page costs more than reading the page does.
+type runCubes struct {
+	cubes []*cube.Cube
+	users atomic.Int32
+}
+
+// join registers one more query on the run. False means the last user has
+// already left and the cubes are back in the pool.
+func (rc *runCubes) join() bool {
+	for {
+		n := rc.users.Load()
+		if n <= 0 {
+			return false
+		}
+		if rc.users.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// release ends this query's use of the runs behind a folded window; the last
+// user of a run recycles its cubes. A query that fails mid-fold skips this,
+// which only leaves its cubes to the garbage collector.
+func (e *Engine) release(rs []resolved) {
+	for _, r := range rs {
+		if r.run != nil && r.run.users.Add(-1) == 0 {
+			for _, cb := range r.run.cubes {
+				e.ix.ReleasePooled(cb)
+			}
+		}
+	}
+}
+
+// fetchRun reads one run of page-adjacent periods from the index with a
+// single I/O and offers the decoded cubes to the demand cache. A lone miss
+// enters at the hot end; the members of a multi-page run enter at the COLD
+// end (PutCold): a run is a scan, and inserting 30+ cold cubes per scan at
+// the hot end would evict the recency working set the dashboard's warm
+// queries live on — the same reason InnoDB gives bulk scans the old sublist
+// instead of the head of the buffer pool. Cubes the cache adopted are never
+// recycled (an evicted cube may still be mid-fold elsewhere; it falls to the
+// garbage collector); without a demand cache the caller is one of the run's
+// users and must release it.
+//
+// Concurrent queries needing the same run share one read through the
+// singleflight group, keyed by the run's first and last periods (page
+// adjacency makes that unambiguous). The leader runs detached from this
+// query's cancellation (one run is bounded work, and waiters with live
+// contexts still want the result); cancellation is enforced upstream by the
+// pool not scheduling further runs.
+func (e *Engine) fetchRun(ctx context.Context, ps []temporal.Period) (*runCubes, bool, error) {
+	fetch := func(ctx context.Context) (*runCubes, error) {
+		// The epoch stamp is loaded before the page read: the content read
+		// is at least as fresh as the directory was at this point, so the
+		// stamp is a valid lower bound (a conservative stamp only costs a
+		// refetch).
+		ep := e.ix.Epoch()
+		cubes, err := e.ix.FetchRunPooledCtx(ctx, ps)
 		if err != nil {
 			return nil, err
 		}
-		for i, v := range views {
-			e.cachePutCold(ps[i], v, ep)
+		rc := &runCubes{cubes: cubes}
+		rc.users.Store(1)
+		if e.demand != nil {
+			for i, cb := range cubes {
+				if len(ps) == 1 {
+					e.demand.PutEpoch(ps[i], cb, ep)
+				} else {
+					e.demand.PutColdEpoch(ps[i], cb, ep)
+				}
+			}
 		}
-		return views, nil
+		return rc, nil
 	}
 	if e.flight == nil {
-		rds, err := fetch(ctx)
-		return rds, false, err
+		rc, err := fetch(ctx)
+		return rc, false, err
 	}
 	pk := func(p temporal.Period) string {
 		return strconv.Itoa(int(p.Level)) + "/" + strconv.Itoa(p.Index)
 	}
-	key := "run:" + pk(ps[0]) + "-" + pk(ps[len(ps)-1])
+	key := pk(ps[0]) + "-" + pk(ps[len(ps)-1])
 	if e.liveOn.Load() {
+		// A flight started before a publish would hand all waiters the
+		// pre-publish content; keying by the required epoch keeps a reader
+		// that already demands fresher data off the stale flight.
 		var req uint64
 		for _, p := range ps {
 			if r := e.requiredEpoch(p); r > req {
@@ -1032,13 +912,19 @@ func (e *Engine) fetchRun(ctx context.Context, ps []temporal.Period) ([]cube.Rea
 		}
 	}
 	lctx := context.WithoutCancel(ctx)
-	v, shared, err := e.flight.Do(key, func() (any, error) {
-		return fetch(lctx)
-	})
-	if err != nil {
-		return nil, false, err
+	for {
+		v, shared, err := e.flight.Do(key, func() (any, error) {
+			return fetch(lctx)
+		})
+		if err != nil {
+			return nil, false, err
+		}
+		// A waiter joins the leader's run — unless the leader has already
+		// folded and recycled it, in which case the read is simply repeated.
+		if rc := v.(*runCubes); !shared || e.demand != nil || rc.join() {
+			return rc, shared, nil
+		}
 	}
-	return v.([]cube.Reader), shared, nil
 }
 
 // buildRows converts the group map into named, sorted rows, applying the

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-
-	"rased/internal/plan"
 )
 
 // PeriodPlan describes one cube the optimizer chose.
@@ -53,49 +51,24 @@ func (e *Engine) Explain(q Query) (*Explanation, error) {
 	}
 	ex := &Explanation{From: lo.String(), To: hi.String()}
 
-	addPlan := func(bucket string, pl *plan.Plan) {
-		bp := BucketPlan{Bucket: bucket}
-		for _, p := range pl.Periods {
-			bp.Periods = append(bp.Periods, PeriodPlan{
-				Period: p.String(),
-				Level:  p.Level.String(),
-				Cached: e.cacheContains(p),
-			})
+	buckets, err := e.planBuckets(q.GroupBy.Date, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range buckets {
+		bp := BucketPlan{}
+		if b.bucket.hasPeriod {
+			bp.Bucket = b.bucket.p.String()
+		}
+		for _, p := range b.periods {
+			cached := e.cacheContains(p)
+			bp.Periods = append(bp.Periods, PeriodPlan{Period: p.String(), Level: p.Level.String(), Cached: cached})
+			ex.Fetches++
+			if !cached {
+				ex.DiskReads++
+			}
 		}
 		ex.Buckets = append(ex.Buckets, bp)
-		ex.Fetches += pl.Fetches
-		ex.DiskReads += pl.DiskReads
-	}
-
-	if q.GroupBy.Date == None {
-		pl, err := e.planWindow(lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		addPlan("", pl)
-		return ex, nil
-	}
-	lvl := q.GroupBy.Date.Level()
-	for _, b := range dateBuckets(lvl, lo, hi) {
-		if b.lo == b.p.Start() && b.hi == b.p.End() && e.ix.Has(b.p) {
-			cached := e.cacheContains(b.p)
-			disk := 1
-			if cached {
-				disk = 0
-			}
-			ex.Buckets = append(ex.Buckets, BucketPlan{
-				Bucket:  b.p.String(),
-				Periods: []PeriodPlan{{Period: b.p.String(), Level: b.p.Level.String(), Cached: cached}},
-			})
-			ex.Fetches++
-			ex.DiskReads += disk
-			continue
-		}
-		pl, err := plan.Optimize(b.lo, b.hi, e.maxLevelBelow(lvl), planAvail{e.ix}, e.cacheView())
-		if err != nil {
-			return nil, err
-		}
-		addPlan(b.p.String(), pl)
 	}
 	return ex, nil
 }

@@ -137,6 +137,30 @@ func TestTraceFields(t *testing.T) {
 		t.Error("trace has no total duration")
 	}
 
+	// Every query shape reports the same four disjoint, sequential stages:
+	// a date-grouped query plans all its buckets before it aggregates any,
+	// so its plan stage is not hidden inside aggregate, and the stages can
+	// never add up to more than the query took.
+	res, err = e.Analyze(Query{From: f.lo, To: f.hi, GroupBy: GroupBy{Date: ByWeek}, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stageSum int64
+	seen := map[string]int64{}
+	for _, s := range res.Trace.Stages {
+		stageSum += s.Nanos
+		seen[s.Name] += s.Nanos
+	}
+	if len(res.Trace.Stages) != 4 || len(seen) != 4 {
+		t.Errorf("week-grouped query stages = %v, want the four stages once each", res.Trace.Stages)
+	}
+	if seen["plan"] <= 0 {
+		t.Errorf("week-grouped query reports plan = %d ns, want > 0", seen["plan"])
+	}
+	if stageSum > res.Trace.TotalNanos {
+		t.Errorf("stages sum to %d ns, more than the query's %d ns: stages overlap", stageSum, res.Trace.TotalNanos)
+	}
+
 	var buf bytes.Buffer
 	tr.Print(&buf)
 	out := buf.String()

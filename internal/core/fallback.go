@@ -65,10 +65,11 @@ func (a planAvail) Has(p temporal.Period) bool {
 // after a failed fetch. The reconstruction recurses: a corrupt monthly cube
 // is summed from its 4 weekly cubes plus trailing days, and if one of those
 // weeklies is also unreadable, from that week's 7 dailies — bit-identical to
-// the lost rollup, because rollups ARE these sums. Constituent fetches go
-// through the normal cache/singleflight path, so the extra reads warm the
-// cache for the replanned queries that follow.
-func (e *Engine) fetchFallback(ctx context.Context, p temporal.Period, res *Result) (cube.Reader, error) {
+// the lost rollup, because rollups ARE these sums. Constituents resolve
+// through the engine's one read path (cache, coalesced runs, singleflight),
+// so a week's seven day pages cost one read and the extra reads warm the
+// demand cache for the replanned queries that follow.
+func (e *Engine) fetchFallback(ctx context.Context, p temporal.Period, res *Result) (*cube.Cube, error) {
 	if p.Level == temporal.Daily {
 		// A leaf failed; there is nothing finer to substitute.
 		return nil, fmt.Errorf("core: leaf day %v unreadable: %w", p, ErrDegraded)
@@ -85,18 +86,17 @@ func (e *Engine) fetchFallback(ctx context.Context, p temporal.Period, res *Resu
 // reconstruct folds every constituent cube of p into sum, recursing through
 // constituents that are themselves unreadable.
 func (e *Engine) reconstruct(ctx context.Context, p temporal.Period, sum *cube.Cube, res *Result) error {
-	for _, c := range p.Children() {
-		if err := ctx.Err(); err != nil {
-			return err
+	children := p.Children()
+	rs, err := e.resolve(ctx, children)
+	if err != nil {
+		if errors.Is(err, tindex.ErrNoCube) {
+			return fmt.Errorf("core: period %v: constituent missing (%v): %w", p, err, ErrDegraded)
 		}
-		fc, err := e.fetchCube(ctx, c)
-		if err != nil {
-			if errors.Is(err, tindex.ErrNoCube) {
-				return fmt.Errorf("core: period %v: constituent %v missing: %w", p, c, ErrDegraded)
-			}
-			if !fallbackEligible(err) {
-				return err
-			}
+		return err
+	}
+	defer e.release(rs)
+	for i, c := range children {
+		if err := rs[i].err; err != nil {
 			if c.Level == temporal.Daily {
 				return fmt.Errorf("core: period %v: leaf day %v unreadable (%v): %w", p, c, err, ErrDegraded)
 			}
@@ -107,25 +107,11 @@ func (e *Engine) reconstruct(ctx context.Context, p temporal.Period, sum *cube.C
 		}
 		res.Stats.FallbackCubes++
 		e.met.FallbackCubes.Inc()
-		if err := mergeReader(sum, fc.rd); err != nil {
+		if err := sum.Merge(rs[i].cb); err != nil {
 			return fmt.Errorf("core: period %v: constituent %v: %w", p, c, err)
 		}
 	}
 	return nil
-}
-
-// mergeReader adds a fetched cube (either a decoded *cube.Cube or a lazy
-// page view) into sum. Materializing a view allocates, but this is the rare
-// degraded path, not the hot path.
-func mergeReader(sum *cube.Cube, rd cube.Reader) error {
-	switch v := rd.(type) {
-	case *cube.Cube:
-		return sum.Merge(v)
-	case *cube.PageView:
-		return sum.Merge(v.Materialize())
-	default:
-		return fmt.Errorf("core: cannot merge cube reader %T", rd)
-	}
 }
 
 // Health is the engine's degraded-mode status, surfaced by /healthz.

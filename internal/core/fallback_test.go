@@ -105,13 +105,9 @@ func TestFallbackReconstructionPerLevel(t *testing.T) {
 				t.Fatalf("fetch stored rollup %v: %v", tc.p, err)
 			}
 			var res Result
-			rd, err := e.fetchFallback(context.Background(), tc.p, &res)
+			got, err := e.fetchFallback(context.Background(), tc.p, &res)
 			if err != nil {
 				t.Fatalf("fetchFallback(%v): %v", tc.p, err)
-			}
-			got, okc := rd.(*cube.Cube)
-			if !okc {
-				t.Fatalf("fallback returned %T, want *cube.Cube", rd)
 			}
 			if !got.Equal(orig) {
 				t.Fatalf("reconstruction of %v differs from the stored rollup", tc.p)
@@ -244,7 +240,7 @@ func TestAnalyzeFallbackDisabled(t *testing.T) {
 // TestAnalyzeFallbackOnInjectedPermanentError drives the fallback from a
 // store-level read failure (dead sector) rather than a checksum mismatch:
 // no quarantine is involved, so every query replans — and every answer is
-// still exact. Runs with coalesced reads on to cover that fan-out path too.
+// still exact.
 func TestAnalyzeFallbackOnInjectedPermanentError(t *testing.T) {
 	var fs *faultstore.Store
 	ix := fbIndex(t, 70, tindex.WithStoreWrapper(func(p pagestore.Pager) pagestore.Pager {
@@ -255,7 +251,6 @@ func TestAnalyzeFallbackOnInjectedPermanentError(t *testing.T) {
 		LevelOptimization: true,
 		DegradedFallback:  true,
 		FetchWorkers:      4,
-		CoalesceReads:     true,
 	})
 	lo := temporal.NewDay(2021, time.January, 1)
 	q := Query{From: lo, To: lo + 69}
@@ -292,11 +287,7 @@ func TestAnalyzeCoalescedRunSplitsOnTransient(t *testing.T) {
 		fs = faultstore.New(p, 3)
 		return fs
 	}))
-	e := fbEngine(t, ix, Options{
-		LevelOptimization: true,
-		DegradedFallback:  true,
-		CoalesceReads:     true,
-	})
+	e := fbEngine(t, ix, Options{LevelOptimization: true, DegradedFallback: true})
 	lo := temporal.NewDay(2021, time.January, 1)
 	q := Query{From: lo, To: lo + 69}
 	oracle, err := e.Analyze(q)
@@ -422,37 +413,6 @@ func TestFallbackEligibility(t *testing.T) {
 		if got := fallbackEligible(tc.err); got != tc.want {
 			t.Errorf("%s: fallbackEligible(%v) = %v, want %v", tc.name, tc.err, got, tc.want)
 		}
-	}
-}
-
-// fbBadReader is a cube.Reader of a concrete type mergeReader cannot merge.
-type fbBadReader struct{ cube.Reader }
-
-// TestMergeReader covers both mergeable reader shapes (decoded cube, lazy
-// page view — they must merge identically) and the unmergeable default.
-func TestMergeReader(t *testing.T) {
-	ix := fbIndex(t, 7)
-	p := temporal.DayPeriod(temporal.NewDay(2021, time.January, 3))
-	cb, err := ix.Fetch(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, err := ix.FetchViewCtx(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromCube, fromView := cube.New(ix.Schema()), cube.New(ix.Schema())
-	if err := mergeReader(fromCube, cb); err != nil {
-		t.Fatalf("merge *cube.Cube: %v", err)
-	}
-	if err := mergeReader(fromView, view); err != nil {
-		t.Fatalf("merge *cube.PageView: %v", err)
-	}
-	if !fromCube.Equal(fromView) {
-		t.Error("merging a decoded cube and its page view diverged")
-	}
-	if err := mergeReader(fromCube, fbBadReader{}); err == nil {
-		t.Error("merging an unknown reader type must fail")
 	}
 }
 

@@ -1,26 +1,33 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rased/internal/cache"
+	"rased/internal/pagestore"
+	"rased/internal/temporal"
+	"rased/internal/tindex"
 )
 
-// hotpathOptions builds the full hot-path configuration: sharded demand
-// cache, pooled decoding, coalesced reads, vectorized kernels.
-func hotpathOptions(slots int) Options {
+// shardedOptions is the default configuration on the demand-filled cache.
+func shardedOptions(slots int) Options {
 	o := DefaultOptions()
 	o.CacheSlots = slots
 	o.CachePolicy = "sharded"
-	o.PooledDecode = true
-	o.CoalesceReads = true
 	return o
 }
 
+// TestHotpathModesAgree runs the engine's one read path under every
+// surviving configuration — cache policy × level optimizer × fetch workers —
+// against the fixture's brute-force recount, cold and then warm: the
+// configurations may differ only in I/O, never in rows.
 func TestHotpathModesAgree(t *testing.T) {
-	// Every cache policy and fetch-path combination must return identical
-	// results; they differ only in I/O and allocation profiles.
 	f := getFixture(t)
 	queries := []Query{
 		{From: f.lo, To: f.hi},
@@ -29,68 +36,140 @@ func TestHotpathModesAgree(t *testing.T) {
 		{From: f.lo, To: f.hi, UpdateTypes: []string{"create", "geometry"}, GroupBy: GroupBy{RoadType: true}},
 		{From: f.lo + 3, To: f.hi, GroupBy: GroupBy{Date: ByWeek, Country: true}},
 	}
-	baseline := newEngine(t, f, func() Options {
-		o := DefaultOptions()
-		o.ScalarKernels = true
-		return o
-	}())
-	modes := map[string]*Engine{
-		"default-kernels":   newEngine(t, f, DefaultOptions()),
-		"lru":               newEngine(t, f, func() Options { o := DefaultOptions(); o.CachePolicy = "lru"; return o }()),
-		"sharded":           newEngine(t, f, func() Options { o := DefaultOptions(); o.CachePolicy = "sharded"; return o }()),
-		"sharded-hotpath":   newEngine(t, f, hotpathOptions(256)),
-		"lru-pooled":        newEngine(t, f, func() Options { o := hotpathOptions(256); o.CachePolicy = "lru"; return o }()),
-		"hotpath-serial":    newEngine(t, f, func() Options { o := hotpathOptions(256); o.FetchWorkers = 1; o.Singleflight = false; return o }()),
-		"coalesce-no-cache": newEngine(t, f, func() Options { o := DefaultOptions(); o.CacheSlots = 0; o.CoalesceReads = true; return o }()),
-		"coalesce-flat":     newEngine(t, f, func() Options { o := hotpathOptions(64); o.LevelOptimization = false; return o }()),
+	caches := map[string]func(*Options){
+		"preload": func(o *Options) { o.CachePolicy = "preload" },
+		"sharded": func(o *Options) { o.CachePolicy = "sharded"; o.CacheSlots = 64 },
+		"nocache": func(o *Options) { o.CacheSlots = 0 },
 	}
-	for qi, q := range queries {
-		want, err := baseline.Analyze(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, e := range modes {
-			// Twice: once cold, once against a warmed demand cache.
-			for pass := 0; pass < 2; pass++ {
-				got, err := e.Analyze(q)
-				if err != nil {
-					t.Fatalf("%s query %d pass %d: %v", name, qi, pass, err)
-				}
-				if got.Total != want.Total {
-					t.Fatalf("%s query %d pass %d: total %d, want %d", name, qi, pass, got.Total, want.Total)
-				}
-				if len(got.Rows) != len(want.Rows) {
-					t.Fatalf("%s query %d pass %d: %d rows, want %d", name, qi, pass, len(got.Rows), len(want.Rows))
-				}
-				for i := range want.Rows {
-					if got.Rows[i] != want.Rows[i] {
-						t.Fatalf("%s query %d pass %d: row %d = %+v, want %+v", name, qi, pass, i, got.Rows[i], want.Rows[i])
+	for cname, setCache := range caches {
+		for _, levelOpt := range []bool{true, false} {
+			for _, workers := range []int{1, 4} {
+				o := DefaultOptions()
+				setCache(&o)
+				o.LevelOptimization = levelOpt
+				o.FetchWorkers = workers
+				e := newEngine(t, f, o)
+				t.Run(fmt.Sprintf("%s/levelopt=%v/workers=%d", cname, levelOpt, workers), func(t *testing.T) {
+					for _, q := range queries {
+						checkAgainstBruteForce(t, f, e, q) // cold
+						checkAgainstBruteForce(t, f, e, q) // warm (demand cache filled)
 					}
-				}
+				})
 			}
+		}
+	}
+	for _, policy := range []string{"lru", "bogus"} {
+		o := DefaultOptions()
+		o.CachePolicy = policy
+		if _, err := NewEngine(f.ix, o); err == nil {
+			t.Errorf("cache policy %q should be rejected", policy)
 		}
 	}
 }
 
-func TestHotpathPooledRequiresDemandCache(t *testing.T) {
-	f := getFixture(t)
-	o := DefaultOptions()
-	o.PooledDecode = true // preload policy: cache cannot own donated cubes
-	if _, err := NewEngine(f.ix, o); err == nil {
-		t.Error("PooledDecode with the preload policy should be rejected")
+// countingPager counts the read calls and the pages they cover.
+type countingPager struct {
+	pagestore.Pager
+	calls, pages atomic.Int64
+}
+
+func (c *countingPager) ReadPage(id int, buf []byte) error {
+	return c.ReadPageCtx(context.Background(), id, buf)
+}
+
+func (c *countingPager) ReadPageCtx(ctx context.Context, id int, buf []byte) error {
+	return c.ReadPagesCtx(ctx, id, 1, buf)
+}
+
+func (c *countingPager) ReadPagesCtx(ctx context.Context, id, n int, buf []byte) error {
+	c.calls.Add(1)
+	c.pages.Add(int64(n))
+	return c.Pager.ReadPagesCtx(ctx, id, n, buf)
+}
+
+// countedIndex is fbIndex behind a countingPager, counters zeroed after the
+// build.
+func countedIndex(t *testing.T, days int) (*tindex.Index, *countingPager) {
+	var cp *countingPager
+	ix := fbIndex(t, days, tindex.WithStoreWrapper(func(p pagestore.Pager) pagestore.Pager {
+		cp = &countingPager{Pager: p}
+		return cp
+	}))
+	cp.calls.Store(0)
+	cp.pages.Store(0)
+	return ix, cp
+}
+
+// TestHotpathDateGroupedCoalesces: a date-grouped query resolves all its
+// buckets in one call, so the day pages under its partial buckets (a month's
+// fourth week carries days 22..31) coalesce into runs — fewer read calls than
+// pages, where bucket-at-a-time execution issued one call per page.
+func TestHotpathDateGroupedCoalesces(t *testing.T) {
+	ix, cp := countedIndex(t, 90) // Jan..Mar 2021: twelve week buckets
+	e := fbEngine(t, ix, Options{LevelOptimization: true, FetchWorkers: 4, Singleflight: true})
+	lo := temporal.NewDay(2021, time.January, 1)
+	res, err := e.Analyze(Query{From: lo, To: lo + 89, GroupBy: GroupBy{Date: ByWeek}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	o.CachePolicy = "bogus"
-	o.PooledDecode = false
-	if _, err := NewEngine(f.ix, o); err == nil {
-		t.Error("unknown cache policy should be rejected")
+	if len(res.Rows) != 12 {
+		t.Fatalf("rows = %d, want 12 week buckets", len(res.Rows))
+	}
+	var want uint64
+	for d := lo; d < lo+90; d++ {
+		want += fbDayCube(ix.Schema(), d).Total()
+	}
+	if res.Total != want {
+		t.Fatalf("total = %d, day cubes sum to %d", res.Total, want)
+	}
+	calls, pages := cp.calls.Load(), cp.pages.Load()
+	if pages != int64(res.Stats.DiskReads) {
+		t.Errorf("pager saw %d pages, stats say %d disk reads", pages, res.Stats.DiskReads)
+	}
+	if calls >= pages {
+		t.Errorf("%d read calls for %d pages: adjacent day pages were not coalesced", calls, pages)
+	}
+}
+
+// TestHotpathReconstructReadsOneRun: rebuilding a quarantined week resolves
+// its seven day cubes through the same read path as a query, so their
+// adjacent pages cost one read — and the sum is the lost rollup, bit for bit.
+func TestHotpathReconstructReadsOneRun(t *testing.T) {
+	ix, cp := countedIndex(t, 40)
+	e := fbEngine(t, ix, Options{LevelOptimization: true, DegradedFallback: true})
+	lo := temporal.NewDay(2021, time.January, 1)
+	week, _ := temporal.WeekPeriod(lo)
+	orig, err := ix.Fetch(week)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fbCorrupt(t, ix, week)
+	if _, err := e.Analyze(Query{From: lo, To: lo + 6}); err != nil {
+		t.Fatalf("query over the corrupt week must replan: %v", err)
+	}
+	if !ix.Quarantined(week) {
+		t.Fatal("corrupt week not quarantined")
+	}
+	cp.calls.Store(0)
+	cp.pages.Store(0)
+	var res Result
+	got, err := e.fetchFallback(context.Background(), week, &res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(orig) {
+		t.Fatal("reconstructed week differs from the stored rollup")
+	}
+	if calls, pages := cp.calls.Load(), cp.pages.Load(); calls != 1 || pages != 7 {
+		t.Errorf("reconstruct issued %d read calls for %d pages, want 1 call for 7", calls, pages)
 	}
 }
 
 func TestHotpathDemandCacheWarms(t *testing.T) {
 	f := getFixture(t)
-	// Coalescing on: run cubes enter at the cold end (PutCold) but must still
-	// serve the identical repeat query from memory once admitted.
-	e := newEngine(t, f, hotpathOptions(256))
+	// Run cubes enter at the cold end (PutCold) but must still serve the
+	// identical repeat query from memory once admitted.
+	e := newEngine(t, f, shardedOptions(256))
 	q := Query{From: f.lo, To: f.hi, GroupBy: GroupBy{Country: true}}
 
 	cold, err := e.Analyze(q)
@@ -130,7 +209,7 @@ func TestHotpathCoalescedIO(t *testing.T) {
 	// A cold flat plan over consecutive daily pages must issue multi-page
 	// reads: the store's coalesced counter moves.
 	f := getFixture(t)
-	o := hotpathOptions(128)
+	o := shardedOptions(128)
 	o.LevelOptimization = false
 	e := newEngine(t, f, o)
 	before := f.ix.Store().Metrics().CoalescedReads.Value()
@@ -156,23 +235,22 @@ func TestHotpathCoalescedIO(t *testing.T) {
 	}
 }
 
-func TestHotpathConcurrentSharded(t *testing.T) {
-	// Hammer one hot-path engine from many goroutines (meaningful under
-	// -race): mixed hot and cold windows, all results checked against a
-	// serially computed baseline.
+func TestHotpathConcurrent(t *testing.T) {
+	// Hammer one engine from many goroutines (meaningful under -race): mixed
+	// hot and cold windows, every row checked against a serially computed
+	// baseline. Two configurations: a small demand cache under constant
+	// eviction, and no cache at all, where every fetch reads from disk,
+	// overlapping queries share runs through the singleflight group, and
+	// the last query to fold a run recycles its cubes — a cube recycled
+	// while another query still folds it would show up as a wrong row.
 	f := getFixture(t)
-	e := newEngine(t, f, hotpathOptions(64)) // small cache: constant eviction
-	baseline := newEngine(t, f, func() Options {
-		o := DefaultOptions()
-		o.ScalarKernels = true
-		return o
-	}())
-
+	baseline := newEngine(t, f, DefaultOptions())
 	queries := []Query{
 		{From: f.lo, To: f.hi, GroupBy: GroupBy{Country: true}},
 		{From: f.hi - 6, To: f.hi},
 		{From: f.lo, To: f.lo + 13, GroupBy: GroupBy{UpdateType: true}},
 		{From: f.lo + 20, To: f.hi - 20, GroupBy: GroupBy{ElementType: true}},
+		{From: f.lo, To: f.hi, GroupBy: GroupBy{Date: ByDay}},
 	}
 	wants := make([]*Result, len(queries))
 	for i, q := range queries {
@@ -182,44 +260,47 @@ func TestHotpathConcurrentSharded(t *testing.T) {
 		}
 		wants[i] = w
 	}
-
-	const workers = 8
-	const iters = 30
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for it := 0; it < iters; it++ {
-				qi := (w + it) % len(queries)
-				got, err := e.Analyze(queries[qi])
-				if err != nil {
-					errs <- err
-					return
-				}
-				if got.Total != wants[qi].Total || len(got.Rows) != len(wants[qi].Rows) {
-					errs <- errResultMismatch(qi)
-					return
-				}
+	noCache := DefaultOptions()
+	noCache.CacheSlots = 0
+	for _, tc := range []struct {
+		name  string
+		opts  Options
+		iters int
+	}{{"sharded", shardedOptions(64), 30}, {"nocache", noCache, 6}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEngine(t, f, tc.opts)
+			const workers = 8
+			iters := tc.iters
+			var wg sync.WaitGroup
+			errs := make(chan error, workers)
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for it := 0; it < iters; it++ {
+						qi := (w + it) % len(queries)
+						got, err := e.Analyze(queries[qi])
+						if err != nil {
+							errs <- err
+							return
+						}
+						if got.Total != wants[qi].Total || !reflect.DeepEqual(got.Rows, wants[qi].Rows) {
+							errs <- fmt.Errorf("concurrent result mismatch on query %d", qi)
+							return
+						}
+					}
+				}(w)
 			}
-		}(w)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if st, ok := e.CacheStats(); ok && st.Hits == 0 {
+				t.Errorf("concurrent run should produce cache hits: %+v", st)
+			}
+		})
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	st, ok := e.CacheStats()
-	if !ok || st.Hits == 0 {
-		t.Errorf("concurrent run should produce cache hits: %+v", st)
-	}
-}
-
-type errResultMismatch int
-
-func (e errResultMismatch) Error() string {
-	return "concurrent result mismatch on query " + string(rune('0'+int(e)))
 }
 
 // TestHotpathAllocationRespected pins that the demand policies still honor

@@ -15,7 +15,7 @@ import (
 // — a dashboard tile refreshed by many tenants must not occupy the execution
 // queue fifty times. Only fully-successful, untraced, unrestricted executions
 // are cached, and every entry carries the index epoch loaded before execution
-// as a freshness lower bound (the same convention as fetchDisk), so a live
+// as a freshness lower bound (the same convention as fetchRun), so a live
 // fold invalidates the whole cache by advancing the epoch — see
 // exec.ResultCache for the monotone-read argument.
 

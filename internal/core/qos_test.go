@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"rased/internal/cache"
 	"rased/internal/cube"
 	"rased/internal/exec"
 	"rased/internal/temporal"
@@ -113,6 +114,48 @@ func TestResultCacheEpochMonotoneUnderFolds(t *testing.T) {
 	}
 	if want := uint64(days + 1 + folds); res.Total != want {
 		t.Fatalf("final total = %d, want %d (some fold was lost)", res.Total, want)
+	}
+}
+
+// TestPreloadRefusalCountsAsMiss: the read-only preload cache refuses to
+// serve a period the live pipeline has republished, and that refusal is a
+// cache miss like any other — rased_cache_misses_total must see it, or a
+// -live deployment under-reports its misses.
+func TestPreloadRefusalCountsAsMiss(t *testing.T) {
+	const days = 10
+	ix := liveIndex(t, days)
+	eng, err := NewEngine(ix, Options{CacheSlots: 64, Allocation: cache.Allocation{Alpha: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi, _ := ix.Coverage()
+	q := Query{From: lo, To: hi}
+	if res, err := eng.Analyze(q); err != nil || res.Stats.CacheHits != days {
+		t.Fatalf("preloaded window: hits %d of %d, err %v", res.Stats.CacheHits, days, err)
+	}
+	before, _ := eng.CacheStats()
+
+	fresh := cube.New(ix.Schema())
+	fresh.Add(0, 0, 0, 0, 5)
+	ep, err := ix.PublishEpoch(map[temporal.Period]*cube.Cube{temporal.DayPeriod(hi): fresh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.MarkLiveUpdate(ep, temporal.DayPeriod(hi))
+
+	res, err := eng.Analyze(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(days - 1 + 5); res.Total != want {
+		t.Fatalf("total after republish = %d, want %d", res.Total, want)
+	}
+	if res.Stats.DiskReads != 1 {
+		t.Fatalf("disk reads = %d, want 1 (the republished day)", res.Stats.DiskReads)
+	}
+	after, _ := eng.CacheStats()
+	if got := after.Misses - before.Misses; got != 1 {
+		t.Fatalf("cache misses advanced by %d, want 1 for the refused period", got)
 	}
 }
 

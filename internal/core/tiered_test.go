@@ -57,11 +57,7 @@ func TestQueriesIdenticalAcrossTiers(t *testing.T) {
 		{From: lo + 7, To: hi - 3, GroupBy: GroupBy{Country: true, UpdateType: true}},
 		{From: lo, To: hi, GroupBy: GroupBy{Date: ByWeek}},
 	}
-	opts := DefaultOptions()
-	opts.CachePolicy = "sharded"
-	opts.PooledDecode = true
-	opts.CoalesceReads = true
-	opts.CacheSlots = 64
+	opts := shardedOptions(64)
 
 	hot, err := NewEngine(ix, opts)
 	if err != nil {
@@ -110,9 +106,7 @@ func TestQueriesIdenticalAcrossTiers(t *testing.T) {
 
 func TestCacheBytesBoundsResidency(t *testing.T) {
 	ix, lo, hi := buildTieredIndex(t, 30)
-	opts := DefaultOptions()
-	opts.CachePolicy = "lru"
-	opts.CacheSlots = 1024
+	opts := shardedOptions(1024)
 	opts.CacheBytes = 256 * 1024 // far below 30 dense daily cubes
 	e, err := NewEngine(ix, opts)
 	if err != nil {
@@ -121,11 +115,7 @@ func TestCacheBytesBoundsResidency(t *testing.T) {
 	if _, err := e.Analyze(Query{From: lo, To: hi, GroupBy: GroupBy{Country: true}}); err != nil {
 		t.Fatal(err)
 	}
-	l, ok := e.demand.(interface{ Bytes() int64 })
-	if !ok {
-		t.Fatal("demand cache does not expose Bytes")
-	}
-	if got := l.Bytes(); got > opts.CacheBytes {
+	if got := e.demand.Bytes(); got > opts.CacheBytes {
 		t.Fatalf("resident cache bytes %d exceed budget %d", got, opts.CacheBytes)
 	}
 

@@ -1,7 +1,5 @@
 package cube
 
-import "encoding/binary"
-
 // AggPlan is a query's aggregation compiled once: the filter's value lists
 // are resolved against the schema a single time (AggregateInto re-derives
 // them per cube) and the filter/group-by shape is classified so common query
@@ -150,16 +148,6 @@ func sumRun(cells []uint64) (sum, or uint64) {
 	return sum, or
 }
 
-// sumRunLE is sumRun over little-endian encoded cells of a page payload.
-func sumRunLE(payload []byte) (sum, or uint64) {
-	for off := 0; off+8 <= len(payload); off += 8 {
-		v := binary.LittleEndian.Uint64(payload[off:])
-		sum += v
-		or |= v
-	}
-	return sum, or
-}
-
 // AggregatePlanInto implements Reader using the plan's kernel dispatch.
 func (cb *Cube) AggregatePlanInto(ap *AggPlan, dst map[Key]uint64) uint64 {
 	switch ap.shape {
@@ -271,136 +259,6 @@ func (cb *Cube) aggregateLists(ap *AggPlan, dst map[Key]uint64) uint64 {
 				rBase := cBase + r*cb.sr
 				for _, u := range ap.us {
 					v := cb.cells[rBase+u]
-					if v == 0 {
-						continue
-					}
-					if ap.g.Update {
-						key.Update = int16(u)
-					}
-					dst[key] += v
-					total += v
-				}
-			}
-		}
-	}
-	return total
-}
-
-// AggregatePlanInto implements Reader for the lazy page view: the same kernel
-// dispatch decoding little-endian cells straight out of the page payload.
-func (pv *PageView) AggregatePlanInto(ap *AggPlan, dst map[Key]uint64) uint64 {
-	switch ap.shape {
-	case aggTotal:
-		sum, or := sumRunLE(pv.payload)
-		if or != 0 {
-			dst[ungroupedKey] += sum
-		}
-		return sum
-
-	case aggGroupElement:
-		var total uint64
-		se8 := pv.se * 8
-		for off := 0; off < len(pv.payload); off += se8 {
-			sum, or := sumRunLE(pv.payload[off : off+se8])
-			total += sum
-			if or != 0 {
-				dst[Key{Element: int16(off / se8), Country: -1, RoadType: -1, Update: -1}] += sum
-			}
-		}
-		return total
-
-	case aggGroupCountry:
-		ap.resetScratch()
-		dc := len(ap.cs)
-		se8, sc8 := pv.se*8, pv.sc*8
-		for base := 0; base < len(pv.payload); base += se8 {
-			for c := 0; c < dc; c++ {
-				sum, or := sumRunLE(pv.payload[base+c*sc8 : base+(c+1)*sc8])
-				ap.partial[c] += sum
-				ap.ors[c] |= or
-			}
-		}
-		return ap.flushScratch(dst, func(c int) Key {
-			return Key{Element: -1, Country: int16(c), RoadType: -1, Update: -1}
-		})
-
-	case aggGroupRoadType:
-		ap.resetScratch()
-		dr := len(ap.rs)
-		sc8, sr8 := pv.sc*8, pv.sr*8
-		for base := 0; base < len(pv.payload); base += sc8 {
-			for r := 0; r < dr; r++ {
-				sum, or := sumRunLE(pv.payload[base+r*sr8 : base+(r+1)*sr8])
-				ap.partial[r] += sum
-				ap.ors[r] |= or
-			}
-		}
-		return ap.flushScratch(dst, func(r int) Key {
-			return Key{Element: -1, Country: -1, RoadType: int16(r), Update: -1}
-		})
-
-	case aggGroupUpdate:
-		ap.resetScratch()
-		du := len(ap.us)
-		du8 := du * 8
-		for base := 0; base < len(pv.payload); base += du8 {
-			for u := 0; u < du; u++ {
-				v := binary.LittleEndian.Uint64(pv.payload[base+u*8:])
-				ap.partial[u] += v
-				ap.ors[u] |= v
-			}
-		}
-		return ap.flushScratch(dst, func(u int) Key {
-			return Key{Element: -1, Country: -1, RoadType: -1, Update: int16(u)}
-		})
-
-	case aggFilteredTotal:
-		var sum, or uint64
-		for _, e := range ap.es {
-			eBase := e * pv.se
-			for _, c := range ap.cs {
-				cBase := eBase + c*pv.sc
-				for _, r := range ap.rs {
-					rBase := (cBase + r*pv.sr) * 8
-					for _, u := range ap.us {
-						v := binary.LittleEndian.Uint64(pv.payload[rBase+u*8:])
-						sum += v
-						or |= v
-					}
-				}
-			}
-		}
-		if or != 0 {
-			dst[ungroupedKey] += sum
-		}
-		return sum
-
-	default:
-		return pv.aggregateLists(ap, dst)
-	}
-}
-
-// aggregateLists is the general path over a page payload.
-func (pv *PageView) aggregateLists(ap *AggPlan, dst map[Key]uint64) uint64 {
-	var total uint64
-	key := ungroupedKey
-	for _, e := range ap.es {
-		if ap.g.Element {
-			key.Element = int16(e)
-		}
-		eBase := e * pv.se
-		for _, c := range ap.cs {
-			if ap.g.Country {
-				key.Country = int16(c)
-			}
-			cBase := eBase + c*pv.sc
-			for _, r := range ap.rs {
-				if ap.g.RoadType {
-					key.RoadType = int16(r)
-				}
-				rBase := (cBase + r*pv.sr) * 8
-				for _, u := range ap.us {
-					v := binary.LittleEndian.Uint64(pv.payload[rBase+u*8:])
 					if v == 0 {
 						continue
 					}

@@ -64,8 +64,10 @@ func TestAggregatePlanMatchesScalar(t *testing.T) {
 
 	for trial := 0; trial < 5; trial++ {
 		cb := randomCube(s, rng.Int63(), 500*trial) // trial 0: all-zero cube
-		page := MarshalPage(cb, temporal.Period{Level: temporal.Daily, Index: trial})
-		view, _, err := UnmarshalPageView(s, page, true)
+		// The v2 encoder picks sparse for the emptier trials, so the second
+		// reader is a SparseCube there and a decoded Cube otherwise.
+		page := MarshalPageV2(cb, temporal.Period{Level: temporal.Daily, Index: trial})
+		v2, _, err := UnmarshalPageReader(s, page, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,12 +85,12 @@ func TestAggregatePlanMatchesScalar(t *testing.T) {
 					t.Errorf("cube kernel map = %v, scalar = %v", got, want)
 				}
 
-				gotView := make(map[Key]uint64)
-				if total := view.AggregatePlanInto(ap, gotView); total != wantTotal {
-					t.Errorf("view kernel total = %d, scalar = %d", total, wantTotal)
+				gotV2 := make(map[Key]uint64)
+				if total := v2.AggregatePlanInto(ap, gotV2); total != wantTotal {
+					t.Errorf("%T kernel total = %d, scalar = %d", v2, total, wantTotal)
 				}
-				if !mapsEqual(gotView, want) {
-					t.Errorf("view kernel map = %v, scalar = %v", gotView, want)
+				if !mapsEqual(gotV2, want) {
+					t.Errorf("%T kernel map = %v, scalar = %v", v2, gotV2, want)
 				}
 			})
 		}

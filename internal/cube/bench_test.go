@@ -66,18 +66,6 @@ func BenchmarkMarshalPage(b *testing.B) {
 	}
 }
 
-func BenchmarkUnmarshalPageView(b *testing.B) {
-	cb := paperCube(b)
-	buf := MarshalPage(cb, temporal.Period{Level: temporal.Daily, Index: 1})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := UnmarshalPageView(cb.Schema(), buf, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchAggPlan compares the scalar reference against the compiled kernels on
 // the same query shape; the sub-benchmarks share one populated cube.
 func benchAggPlan(b *testing.B, f Filter, g GroupBy) {

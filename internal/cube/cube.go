@@ -200,6 +200,26 @@ func (cb *Cube) LeafTotal(numLeafCountries int) uint64 {
 	return t
 }
 
+// Reader is the read-only cube interface: the dense Cube every query path
+// consumes, and the compact SparseCube decoded from EncSparse payloads.
+type Reader interface {
+	// Schema returns the cube's schema.
+	Schema() *Schema
+	// At returns the count at one coordinate.
+	At(e, c, r, u int) uint64
+	// AggregateInto sums the filtered sub-cube into dst keyed by the grouped
+	// dimensions, returning the filtered total. It is the scalar reference
+	// the kernel fuzz and property tests compare AggregatePlanInto against.
+	AggregateInto(f Filter, g GroupBy, dst map[Key]uint64) uint64
+	// AggregatePlanInto is AggregateInto driven by a precompiled AggPlan:
+	// filter lists are resolved once per query instead of once per cube, and
+	// common shapes dispatch to vectorized kernels. Results are bit-identical
+	// to AggregateInto with the plan's filter and grouping.
+	AggregatePlanInto(ap *AggPlan, dst map[Key]uint64) uint64
+}
+
+var _ Reader = (*Cube)(nil)
+
 // Filter restricts an aggregation to listed dimension values; a nil slice
 // means "all values". Values outside the schema are ignored.
 type Filter struct {

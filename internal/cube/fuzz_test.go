@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzUnmarshalPage: arbitrary bytes must never panic, and whatever passes
-// validation must agree between the eager and lazy decoders.
+// validation must agree between the three decoders.
 func FuzzUnmarshalPage(f *testing.F) {
 	s := ScaledSchema(4, 3)
 	good := MarshalPage(New(s), temporal.Period{Level: temporal.Daily, Index: 1})
@@ -16,11 +16,11 @@ func FuzzUnmarshalPage(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cb, p1, err1 := UnmarshalPage(s, data)
-		view, p2, err2 := UnmarshalPageView(s, data, true)
+		rd, p2, err2 := UnmarshalPageReader(s, data, true)
 		into := New(s)
 		p3, err3 := UnmarshalPageInto(s, into, data, true)
 		if (err1 == nil) != (err2 == nil) || (err1 == nil) != (err3 == nil) {
-			t.Fatalf("decoders disagree: eager=%v lazy=%v into=%v", err1, err2, err3)
+			t.Fatalf("decoders disagree: eager=%v reader=%v into=%v", err1, err2, err3)
 		}
 		if err1 != nil {
 			return
@@ -28,7 +28,10 @@ func FuzzUnmarshalPage(f *testing.F) {
 		if p1 != p2 || p1 != p3 {
 			t.Fatalf("periods disagree: %v vs %v vs %v", p1, p2, p3)
 		}
-		if !view.Materialize().Equal(cb) {
+		if sp, ok := rd.(*SparseCube); ok {
+			rd = sp.Materialize()
+		}
+		if !rd.(*Cube).Equal(cb) {
 			t.Fatal("cells disagree between decoders")
 		}
 		if !into.Equal(cb) {
@@ -42,18 +45,16 @@ func FuzzUnmarshalPage(f *testing.F) {
 			want := make(map[Key]uint64)
 			wantTotal := cb.AggregateInto(Filter{}, g, want)
 			ap := CompileAgg(s, Filter{}, g)
-			for _, rd := range []Reader{cb, view} {
-				got := make(map[Key]uint64)
-				if total := rd.AggregatePlanInto(ap, got); total != wantTotal {
-					t.Fatalf("%T kernel total %d != scalar %d (group %+v)", rd, total, wantTotal, g)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%T kernel keys %v != scalar %v (group %+v)", rd, got, want, g)
-				}
-				for k, v := range want {
-					if got[k] != v {
-						t.Fatalf("%T kernel[%v] = %d, want %d", rd, k, got[k], v)
-					}
+			got := make(map[Key]uint64)
+			if total := cb.AggregatePlanInto(ap, got); total != wantTotal {
+				t.Fatalf("kernel total %d != scalar %d (group %+v)", total, wantTotal, g)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("kernel keys %v != scalar %v (group %+v)", got, want, g)
+			}
+			for k, v := range want {
+				if got[k] != v {
+					t.Fatalf("kernel[%v] = %d, want %d", k, got[k], v)
 				}
 			}
 		}

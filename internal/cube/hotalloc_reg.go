@@ -5,19 +5,16 @@
 // the per-query hot paths whose allocs/op the cube benchmarks hold at zero,
 // and the rule fails the lint if `go build -gcflags=-m` reports an
 // allocation-class escape inside any of them. Constructors (New, CompileAgg,
-// NewPagePool, UnmarshalPageView) and MarshalPage allocate by design and are
-// deliberately absent.
+// NewPagePool) and MarshalPage allocate by design and are deliberately
+// absent.
 package cube
 
 var HotPathFuncs = []string{
 	"(*AggPlan).resetScratch",
 	"(*AggPlan).flushScratch",
 	"sumRun",
-	"sumRunLE",
 	"(*Cube).AggregatePlanInto",
 	"(*Cube).aggregateLists",
-	"(*PageView).AggregatePlanInto",
-	"(*PageView).aggregateLists",
 	"parsePage",
 	"UnmarshalPageInto",
 	"decodePayloadInto",

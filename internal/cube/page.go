@@ -145,8 +145,7 @@ func marshalV1(buf []byte, cb *Cube, p temporal.Period) {
 // level, schema fingerprint, cell count, truncation, and (when verify is set)
 // the payload CRC — and returns the payload slice, its encoding (always
 // EncDense for v1 pages), and the page's period. It is the single validation
-// path under UnmarshalPage, UnmarshalPageView, UnmarshalPageReader, and
-// UnmarshalPageInto.
+// path under UnmarshalPage, UnmarshalPageReader, and UnmarshalPageInto.
 func parsePage(s *Schema, buf []byte, verify bool) ([]byte, byte, temporal.Period, error) {
 	var p temporal.Period
 	if len(buf) < pageHeaderSize {

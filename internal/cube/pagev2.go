@@ -70,7 +70,7 @@ func deltaSize(cells []uint64) int {
 }
 
 // chooseEncoding sizes all three encodings with one scan each and returns the
-// smallest (dense wins ties: it is the cheapest to decode and to view).
+// smallest (dense wins ties: it is the cheapest to decode).
 func chooseEncoding(cells []uint64) (enc byte, plen int) {
 	enc, plen = EncDense, 8*len(cells)
 	if s := sparseSize(cells); s < plen {

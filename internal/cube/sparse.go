@@ -158,32 +158,27 @@ func (sc *SparseCube) Materialize() *Cube {
 }
 
 // UnmarshalPageReader validates a page of either format version and returns
-// the cheapest Reader for its payload encoding: a lazy PageView over dense
-// payloads (the buffer must outlive the view), a compact SparseCube for
-// sparse payloads, and a materialized Cube for delta payloads. It is the
-// universal decode entry for tiered fetch paths that do not know a page's
-// tier or encoding up front.
+// a Reader sized to its payload encoding: a compact SparseCube for sparse
+// payloads, a decoded Cube for dense and delta payloads. Scrub validates
+// pages of both tiers through it; queries decode into pooled cubes with
+// UnmarshalPageInto instead.
 func UnmarshalPageReader(s *Schema, buf []byte, verify bool) (Reader, temporal.Period, error) {
 	payload, enc, p, err := parsePage(s, buf, verify)
 	if err != nil {
 		return nil, p, err
 	}
-	switch enc {
-	case EncSparse:
+	if enc == EncSparse {
 		scb, err := newSparseCube(s, payload)
 		if err != nil {
 			return nil, p, err
 		}
 		return scb, p, nil
-	case EncDelta:
-		cb := New(s)
-		if err := decodeDeltaInto(cb.cells, payload); err != nil {
-			return nil, p, err
-		}
-		return cb, p, nil
-	default:
-		return newPageView(s, payload), p, nil
 	}
+	cb := New(s)
+	if err := decodePayloadInto(cb.cells, enc, payload); err != nil {
+		return nil, p, err
+	}
+	return cb, p, nil
 }
 
 // ReaderBytes estimates the resident heap footprint of a decoded reader's
@@ -193,8 +188,6 @@ func ReaderBytes(rd Reader) int {
 	switch v := rd.(type) {
 	case *Cube:
 		return 8 * len(v.cells)
-	case *PageView:
-		return len(v.payload)
 	case *SparseCube:
 		return 12 * len(v.idx)
 	default:

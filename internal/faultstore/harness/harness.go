@@ -74,7 +74,6 @@ func DefaultEngineOptions() core.Options {
 		ReadRetryBackoff:  200 * time.Microsecond,
 		FetchWorkers:      4,
 		Singleflight:      true,
-		CoalesceReads:     true,
 	}
 }
 

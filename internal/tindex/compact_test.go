@@ -7,6 +7,7 @@ package tindex
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -69,18 +70,7 @@ func TestCompactRoundTrip(t *testing.T) {
 		if !got.Equal(want[p]) {
 			t.Fatalf("cold fetch of %v differs from pre-compaction cube", p)
 		}
-		rd, err := ix.FetchView(p)
-		if err != nil {
-			t.Fatalf("fetch view cold %v: %v", p, err)
-		}
-		vGot := make(map[cube.Key]uint64)
-		vWant := make(map[cube.Key]uint64)
-		tg := rd.AggregateInto(cube.Filter{}, cube.GroupBy{Country: true}, vGot)
-		tw := want[p].AggregateInto(cube.Filter{}, cube.GroupBy{Country: true}, vWant)
-		if tg != tw || len(vGot) != len(vWant) {
-			t.Fatalf("cold view of %v aggregates differently (total %d vs %d)", p, tg, tw)
-		}
-		pc, err := ix.FetchPooledCtx(context.Background(), p)
+		pc, err := fetchPooled(context.Background(), ix, p)
 		if err != nil {
 			t.Fatalf("pooled fetch cold %v: %v", p, err)
 		}
@@ -270,19 +260,7 @@ func TestColdRunCoalescedFetch(t *testing.T) {
 	for d := lo; d <= lo+9; d++ {
 		ps = append(ps, temporal.DayPeriod(d))
 	}
-	rds, err := ix.FetchRunCtx(context.Background(), ps)
-	if err != nil {
-		t.Fatalf("cold run fetch: %v", err)
-	}
-	for i, p := range ps {
-		g := make(map[cube.Key]uint64)
-		w := make(map[cube.Key]uint64)
-		tg := rds[i].AggregateInto(cube.Filter{}, cube.GroupBy{Country: true}, g)
-		tw := want[p].AggregateInto(cube.Filter{}, cube.GroupBy{Country: true}, w)
-		if tg != tw || len(g) != len(w) {
-			t.Fatalf("run view %v aggregates differently (total %d vs %d)", p, tg, tw)
-		}
-	}
+	before := ix.ColdStore().Metrics().CoalescedReads.Value()
 	cbs, err := ix.FetchRunPooledCtx(context.Background(), ps)
 	if err != nil {
 		t.Fatalf("cold pooled run fetch: %v", err)
@@ -293,6 +271,9 @@ func TestColdRunCoalescedFetch(t *testing.T) {
 		}
 		ix.ReleasePooled(cbs[i])
 	}
+	if got := ix.ColdStore().Metrics().CoalescedReads.Value() - before; got != 1 {
+		t.Fatalf("cold run took %d coalesced reads, want 1", got)
+	}
 
 	// A run spanning tiers must come back ErrNotAdjacent, not torn data.
 	d := lo + 4
@@ -301,8 +282,8 @@ func TestColdRunCoalescedFetch(t *testing.T) {
 	if err := ix.ReplaceDays(map[temporal.Day]*cube.Cube{d: repl}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.FetchRunCtx(context.Background(), ps); err == nil {
-		t.Fatal("mixed-tier run must fail adjacency")
+	if _, err := ix.FetchRunPooledCtx(context.Background(), ps); !errors.Is(err, ErrNotAdjacent) {
+		t.Fatalf("mixed-tier run = %v, want ErrNotAdjacent", err)
 	}
 }
 
@@ -332,7 +313,7 @@ func TestCompactionUnderQueries(t *testing.T) {
 				default:
 				}
 				p := ps[(i*7+w)%len(ps)]
-				cb, err := ix.FetchPooledCtx(ctx, p)
+				cb, err := fetchPooled(ctx, ix, p)
 				if err != nil {
 					errs <- err
 					return

@@ -76,7 +76,7 @@ func TestEpochSwapConcurrentReaders(t *testing.T) {
 				}
 				// Historical day: immutable, must always verify.
 				d := lo + temporal.Day(r*2)
-				if _, err := ix.FetchView(temporal.DayPeriod(d)); err != nil {
+				if _, err := ix.Fetch(temporal.DayPeriod(d)); err != nil {
 					torn.Add(1)
 					t.Errorf("reader %d: historical fetch %v: %v", r, d, err)
 				}

@@ -90,7 +90,7 @@ func TestRetryGivesUpTyped(t *testing.T) {
 	appendRange(t, ix, lo, lo)
 	ix.SetRetryPolicy(RetryPolicy{Attempts: 2, Backoff: time.Millisecond})
 	fs.AddRule(faultstore.Rule{Op: faultstore.OpRead, Kind: faultstore.KindTransient, Page: -1})
-	_, err := ix.FetchViewCtx(context.Background(), temporal.DayPeriod(lo))
+	_, err := fetchPooled(context.Background(), ix, temporal.DayPeriod(lo))
 	if !errors.Is(err, pagestore.ErrTransient) {
 		t.Fatalf("exhausted retry must surface the transient error, got %v", err)
 	}
@@ -98,7 +98,7 @@ func TestRetryGivesUpTyped(t *testing.T) {
 	fs.ClearRules()
 	ix.Metrics().ReadRetries.Reset()
 	fs.AddRule(faultstore.Rule{Op: faultstore.OpRead, Kind: faultstore.KindPermanent, Page: -1})
-	if _, err := ix.FetchViewCtx(context.Background(), temporal.DayPeriod(lo)); !errors.Is(err, faultstore.ErrInjected) {
+	if _, err := fetchPooled(context.Background(), ix, temporal.DayPeriod(lo)); !errors.Is(err, faultstore.ErrInjected) {
 		t.Fatalf("want injected permanent error, got %v", err)
 	}
 	if got := ix.Metrics().ReadRetries.Value(); got != 0 {
@@ -228,8 +228,8 @@ func TestFetchNoCubeTyped(t *testing.T) {
 		if _, err := ix.Fetch(p); !errors.Is(err, ErrNoCube) {
 			t.Errorf("Fetch(%v) = %v, want ErrNoCube", p, err)
 		}
-		if _, err := ix.FetchPooledCtx(context.Background(), p); !errors.Is(err, ErrNoCube) {
-			t.Errorf("FetchPooledCtx(%v) = %v, want ErrNoCube", p, err)
+		if _, err := fetchPooled(context.Background(), ix, p); !errors.Is(err, ErrNoCube) {
+			t.Errorf("FetchRunPooledCtx(%v) = %v, want ErrNoCube", p, err)
 		}
 	}
 }
@@ -250,7 +250,7 @@ func TestPooledFetchCorruptionPoolBalance(t *testing.T) {
 	base := met.CubeGets.Value()
 	const iters = 50
 	for i := 0; i < iters; i++ {
-		_, err := ix.FetchPooledCtx(context.Background(), p)
+		_, err := fetchPooled(context.Background(), ix, p)
 		if !errors.Is(err, ErrCorruptPage) {
 			t.Fatalf("iter %d: want ErrCorruptPage, got %v", i, err)
 		}
@@ -310,12 +310,12 @@ func TestRunFetchTransientRetry(t *testing.T) {
 	// One transient failure on a mid-run page fails the whole coalesced read
 	// once; the retry re-issues it and succeeds.
 	fs.AddRule(faultstore.Rule{Op: faultstore.OpRead, Kind: faultstore.KindTransient, Page: 1, Count: 1})
-	views, err := ix.FetchRunCtx(context.Background(), run)
+	cubes, err := ix.FetchRunPooledCtx(context.Background(), run)
 	if err != nil {
 		t.Fatalf("retried run fetch: %v", err)
 	}
-	if len(views) != 4 {
-		t.Fatalf("run returned %d views, want 4", len(views))
+	if len(cubes) != 4 {
+		t.Fatalf("run returned %d cubes, want 4", len(cubes))
 	}
 	if ix.Metrics().ReadRetries.Value() != 1 {
 		t.Fatalf("retries = %d, want 1", ix.Metrics().ReadRetries.Value())

@@ -13,9 +13,5 @@ package tindex
 var FaultExercised = []string{
 	"Fetch",
 	"FetchCtx",
-	"FetchView",
-	"FetchViewCtx",
-	"FetchPooledCtx",
-	"FetchRunCtx",
 	"FetchRunPooledCtx",
 }

@@ -11,70 +11,34 @@ import (
 
 // ErrNotAdjacent reports a period run whose pages are not (or no longer)
 // consecutive on disk. Under live ingest this is an expected transient: a
-// publish between the caller's PageOf probe and the coalesced read moves the
+// publish between the caller's ExtentOf probe and the coalesced read moves the
 // republished period to a fresh page, breaking the run. A compaction has the
 // same effect (the period migrates tiers). Callers should fall back to
-// per-period fetches, which always see a consistent directory.
+// runs of one, which always see a consistent directory.
 var ErrNotAdjacent = errors.New("periods are not page-adjacent")
 
-// This file holds the pooled and coalesced fetch paths. Both exist to cut
-// per-miss allocation and per-page I/O on the query hot path:
+// This file holds the index's one cube-read implementation. A fetch is a run
+// of periods whose pages (or cold extents) are adjacent on disk, served by a
+// single pagestore.ReadPagesCtx call — one syscall and one injected-latency
+// sleep for the whole run — into a recycled buffer, and decoded page by page;
+// a single period is the run of one. Fetch/FetchCtx wrap it for the build
+// side (an owned, always-verified cube), FetchRunPooledCtx for queries
+// (decode targets recycled through the index's PagePool).
 //
-//   - FetchPooledCtx decodes into a recycled cube from the index's PagePool
-//     instead of allocating a fresh page buffer plus a fresh ~cells*8-byte
-//     cube per miss.
-//   - FetchRunCtx / FetchRunPooledCtx serve a run of periods whose pages (or
-//     cold extents) are adjacent on disk with a single pagestore.ReadPagesCtx
-//     call: one syscall and one injected-latency sleep for the whole run.
+// Runs are tier-aware: a run must live entirely in one tier (all hot pages or
+// all cold extents) — the tiers are separate files, so a mixed run cannot be
+// one I/O and comes back ErrNotAdjacent. Cold adjacency means each extent
+// starts exactly where the previous one ends (id + slots).
 //
-// Both run paths are tier-aware: a run must live entirely in one tier (all
-// hot pages or all cold extents) — the tiers are separate files, so a mixed
-// run cannot be one I/O and comes back ErrNotAdjacent. Cold adjacency means
-// each extent starts exactly where the previous one ends (id + slots).
-//
-// Ownership of pooled cubes follows the donation model documented in
-// DESIGN.md ("Hot-path memory model"): the caller owns the returned cube and
-// must either hand it to exactly one long-lived owner (a cache) — after which
-// it is never returned to the pool — or release it with ReleasePooled once
-// done.
+// Ownership of pooled cubes is documented in DESIGN.md ("Hot-path memory
+// model"): the caller owns the returned cubes and either releases them with
+// ReleasePooled once done, or — when they may be shared with a cache or
+// another query — never releases them and leaves them to the garbage
+// collector.
 
-// FetchPooledCtx reads the cube for period p into a pooled decode target
-// (one page or extent I/O, no per-miss allocation in steady state). The
-// caller owns the returned cube; see ReleasePooled. Works on both tiers: a
-// pooled PageSize buffer always fits a cold extent because the v2 encoder
-// never chooses a payload larger than the dense layout.
-func (ix *Index) FetchPooledCtx(ctx context.Context, p temporal.Period) (*cube.Cube, error) {
-	defer ix.unpinEpoch(ix.pinEpoch())
-	ref, verify, err := ix.lookup(p)
-	if err != nil {
-		return nil, err
-	}
-	pb := ix.pool.GetBuf()
-	defer ix.pool.PutBuf(pb)
-	buf := (*pb)[:ix.refLen(ref)]
-	if err := ix.retryRead(ctx, func() error { return ix.readRef(ctx, ref, buf) }); err != nil {
-		return nil, err
-	}
-	cb := ix.pool.GetCube()
-	got, err := cube.UnmarshalPageInto(ix.schema, cb, buf, verify)
-	if err != nil {
-		// The scratch cube goes straight back to the pool: a corrupt page
-		// must not leak the pooled decode target (nor, upstream, poison any
-		// cache with a half-decoded cube).
-		ix.pool.PutCube(cb)
-		return nil, ix.decodeErr(p, ref.id, err)
-	}
-	if got != p {
-		ix.pool.PutCube(cb)
-		return nil, ix.mismatchErr(p, got, ref.id)
-	}
-	return cb, nil
-}
-
-// ReleasePooled returns a cube obtained from FetchPooledCtx or
-// FetchRunPooledCtx to the pool. Only the cube's sole owner may call it:
-// once a cube has been published to a cache or another goroutine, it must
-// never be released (the donation model — see DESIGN.md).
+// ReleasePooled returns a cube obtained from FetchRunPooledCtx to the pool.
+// Only the cube's sole owner may call it: once a cube has been published to a
+// cache or another goroutine, it must never be released.
 func (ix *Index) ReleasePooled(cb *cube.Cube) {
 	ix.pool.PutCube(cb)
 }
@@ -141,74 +105,65 @@ func (ix *Index) runLen(refs []pageRef) int {
 	return n
 }
 
-// FetchRunCtx reads the cubes for a run of periods whose pages (or extents)
-// are adjacent on disk with one coalesced I/O, returning zero-copy readers in
-// period order: dense pages come back as in-place views, compressed cold
-// pages as their decoded compact forms. Callers discover adjacency with
-// PageOf/ExtentOf; handing a non-adjacent run here is an error, not a silent
-// fallback.
-func (ix *Index) FetchRunCtx(ctx context.Context, ps []temporal.Period) ([]cube.Reader, error) {
-	defer ix.unpinEpoch(ix.pinEpoch())
-	refs, verify, err := ix.runRefs(ps)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, ix.runLen(refs))
-	if err := ix.readRun(ctx, refs, buf); err != nil {
-		return nil, err
-	}
-	out := make([]cube.Reader, len(ps))
-	off := 0
-	for i, p := range ps {
-		n := ix.refLen(refs[i])
-		rd, got, err := cube.UnmarshalPageReader(ix.schema, buf[off:off+n], verify)
-		off += n
-		if err != nil {
-			return nil, ix.decodeErr(p, refs[i].id, err)
-		}
-		if got != p {
-			return nil, ix.mismatchErr(p, got, refs[i].id)
-		}
-		out[i] = rd
-	}
-	return out, nil
+// FetchRunPooledCtx reads the cubes for a run of periods whose pages (or
+// extents) are adjacent on disk with one coalesced I/O, decoding into pooled
+// cubes in period order. Callers discover adjacency with ExtentOf; handing a
+// non-adjacent run here is ErrNotAdjacent, not a silent fallback. On success
+// the caller owns every returned cube (see ReleasePooled); on error all
+// partially decoded cubes are returned to the pool.
+func (ix *Index) FetchRunPooledCtx(ctx context.Context, ps []temporal.Period) ([]*cube.Cube, error) {
+	return ix.fetchRun(ctx, ps, true)
 }
 
-// FetchRunPooledCtx is FetchRunCtx decoding into pooled cubes instead of
-// views: one coalesced I/O for the run, zero steady-state allocation per
-// cube. On success the caller owns every returned cube (see ReleasePooled);
-// on error all partially decoded cubes are returned to the pool.
-func (ix *Index) FetchRunPooledCtx(ctx context.Context, ps []temporal.Period) ([]*cube.Cube, error) {
+// fetchRun is the read/verify/quarantine implementation under every fetch
+// entry point. pooled selects the decode target: a recycled cube from the
+// page pool, checksummed per SetVerifyReads (the query path), or a fresh
+// cube the caller may keep and mutate, always checksummed (the build side).
+func (ix *Index) fetchRun(ctx context.Context, ps []temporal.Period, pooled bool) ([]*cube.Cube, error) {
 	defer ix.unpinEpoch(ix.pinEpoch())
 	refs, verify, err := ix.runRefs(ps)
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, ix.runLen(refs))
+	n := ix.runLen(refs)
+	pb := ix.runBufs.Get().(*[]byte)
+	if cap(*pb) < n {
+		*pb = make([]byte, n)
+	}
+	defer ix.runBufs.Put(pb)
+	buf := (*pb)[:n]
 	if err := ix.readRun(ctx, refs, buf); err != nil {
 		return nil, err
 	}
 	out := make([]*cube.Cube, 0, len(ps))
-	release := func() {
-		for _, cb := range out {
+	// A failed decode hands every pooled cube of the run back: a corrupt
+	// page must not leak decode targets (nor, upstream, poison a cache with
+	// a half-decoded cube).
+	fail := func(cb *cube.Cube, err error) ([]*cube.Cube, error) {
+		if pooled {
 			ix.pool.PutCube(cb)
+			for _, done := range out {
+				ix.pool.PutCube(done)
+			}
 		}
+		return nil, err
 	}
 	off := 0
 	for i, p := range ps {
 		n := ix.refLen(refs[i])
-		cb := ix.pool.GetCube()
-		got, err := cube.UnmarshalPageInto(ix.schema, cb, buf[off:off+n], verify)
+		var cb *cube.Cube
+		if pooled {
+			cb = ix.pool.GetCube()
+		} else {
+			cb = cube.New(ix.schema)
+		}
+		got, err := cube.UnmarshalPageInto(ix.schema, cb, buf[off:off+n], verify || !pooled)
 		off += n
 		if err != nil {
-			ix.pool.PutCube(cb)
-			release()
-			return nil, ix.decodeErr(p, refs[i].id, err)
+			return fail(cb, ix.decodeErr(p, refs[i].id, err))
 		}
 		if got != p {
-			ix.pool.PutCube(cb)
-			release()
-			return nil, ix.mismatchErr(p, got, refs[i].id)
+			return fail(cb, ix.mismatchErr(p, got, refs[i].id))
 		}
 		out = append(out, cb)
 	}

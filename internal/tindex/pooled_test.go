@@ -2,12 +2,22 @@ package tindex
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"rased/internal/cube"
 	"rased/internal/temporal"
 )
+
+// fetchPooled is the query side's single-period fetch: a run of one.
+func fetchPooled(ctx context.Context, ix *Index, p temporal.Period) (*cube.Cube, error) {
+	cubes, err := ix.FetchRunPooledCtx(ctx, []temporal.Period{p})
+	if err != nil {
+		return nil, err
+	}
+	return cubes[0], nil
+}
 
 func TestFetchPooledMatchesFetch(t *testing.T) {
 	ix := create(t, 4)
@@ -22,7 +32,7 @@ func TestFetchPooledMatchesFetch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ix.FetchPooledCtx(ctx, p)
+		got, err := fetchPooled(ctx, ix, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,14 +41,15 @@ func TestFetchPooledMatchesFetch(t *testing.T) {
 		}
 		ix.ReleasePooled(got)
 	}
-	if _, err := ix.FetchPooledCtx(ctx, temporal.DayPeriod(hi+1)); err == nil {
+	if _, err := fetchPooled(ctx, ix, temporal.DayPeriod(hi+1)); err == nil {
 		t.Error("pooled fetch of missing period should fail")
 	}
 }
 
 // TestFetchPooledSteadyStateAllocs pins the point of the pool: after warmup,
-// a pooled miss fetch allocates nothing (the eager path allocates the page
-// buffer plus the cube every time).
+// a pooled miss fetch — a run of one — allocates neither the page buffer nor
+// the cube (the owned-cube Fetch allocates both every time), only the
+// one-element result slice and its bookkeeping.
 func TestFetchPooledSteadyStateAllocs(t *testing.T) {
 	ix := create(t, 1)
 	lo := temporal.NewDay(2021, time.January, 1)
@@ -48,21 +59,22 @@ func TestFetchPooledSteadyStateAllocs(t *testing.T) {
 
 	// Warm the pool.
 	for i := 0; i < 4; i++ {
-		cb, err := ix.FetchPooledCtx(ctx, p)
+		cb, err := fetchPooled(ctx, ix, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ix.ReleasePooled(cb)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		cb, err := ix.FetchPooledCtx(ctx, p)
+		cb, err := fetchPooled(ctx, ix, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ix.ReleasePooled(cb)
 	})
-	// sync.Pool gives no hard guarantee, but steady state should be at or
-	// near zero; the eager path is 5+ allocs including a multi-KB buffer.
+	// sync.Pool gives no hard guarantee, but steady state is the result
+	// slice and little else; the eager path is 5+ allocs including a
+	// multi-KB buffer.
 	if allocs > 2 {
 		t.Errorf("pooled fetch allocs/op = %v, want <= 2", allocs)
 	}
@@ -80,32 +92,21 @@ func TestFetchRunCoalesced(t *testing.T) {
 	}
 	before := ix.Store().Metrics().CoalescedReads.Value()
 
-	views, err := ix.FetchRunCtx(ctx, ps)
+	cubes, err := ix.FetchRunPooledCtx(ctx, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(views) != len(ps) {
-		t.Fatalf("got %d views for %d periods", len(views), len(ps))
+	if len(cubes) != len(ps) {
+		t.Fatalf("got %d cubes for %d periods", len(cubes), len(ps))
+	}
+	if got := ix.Store().Metrics().CoalescedReads.Value() - before; got != 1 {
+		t.Errorf("coalesced reads = %d, want 1 for the run", got)
 	}
 	for i, p := range ps {
 		want, err := ix.Fetch(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !views[i].(*cube.PageView).Materialize().Equal(want) {
-			t.Errorf("run view %d differs from eager fetch of %v", i, p)
-		}
-	}
-	if got := ix.Store().Metrics().CoalescedReads.Value() - before; got != 1 {
-		t.Errorf("coalesced reads = %d, want 1 for the run", got)
-	}
-
-	cubes, err := ix.FetchRunPooledCtx(ctx, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range ps {
-		want, _ := ix.Fetch(p)
 		if !cubes[i].Equal(want) {
 			t.Errorf("run cube %d differs from eager fetch of %v", i, p)
 		}
@@ -114,7 +115,7 @@ func TestFetchRunCoalesced(t *testing.T) {
 }
 
 func TestFetchRunRejectsNonAdjacent(t *testing.T) {
-	ix := create(t, 4) // rollup pages interleave with days: gaps exist
+	ix := create(t, 4)                           // rollup pages interleave with days: gaps exist
 	lo := temporal.NewDay(2021, time.January, 4) // a Monday
 	appendRange(t, ix, lo, lo+13)
 	ctx := context.Background()
@@ -136,17 +137,14 @@ func TestFetchRunRejectsNonAdjacent(t *testing.T) {
 	if adjacent {
 		t.Fatal("test premise broken: span should cross a rollup page")
 	}
-	if _, err := ix.FetchRunCtx(ctx, ps); err == nil {
-		t.Error("non-adjacent run should be rejected")
+	if _, err := ix.FetchRunPooledCtx(ctx, ps); !errors.Is(err, ErrNotAdjacent) {
+		t.Errorf("non-adjacent run = %v, want ErrNotAdjacent", err)
 	}
-	if _, err := ix.FetchRunPooledCtx(ctx, ps); err == nil {
-		t.Error("non-adjacent pooled run should be rejected")
-	}
-	if _, err := ix.FetchRunCtx(ctx, nil); err == nil {
+	if _, err := ix.FetchRunPooledCtx(ctx, nil); err == nil {
 		t.Error("empty run should be rejected")
 	}
-	if _, err := ix.FetchRunCtx(ctx, []temporal.Period{temporal.DayPeriod(lo + 500)}); err == nil {
-		t.Error("missing period in run should be rejected")
+	if _, err := ix.FetchRunPooledCtx(ctx, []temporal.Period{temporal.DayPeriod(lo + 500)}); !errors.Is(err, ErrNoCube) {
+		t.Errorf("missing period in run = %v, want ErrNoCube", err)
 	}
 }
 
@@ -163,7 +161,7 @@ func TestFetchRunLatencyOncePerRun(t *testing.T) {
 		ps = append(ps, temporal.DayPeriod(d))
 	}
 	start := time.Now()
-	if _, err := ix.FetchRunCtx(context.Background(), ps); err != nil {
+	if _, err := ix.FetchRunPooledCtx(context.Background(), ps); err != nil {
 		t.Fatal(err)
 	}
 	if el := time.Since(start); el >= 4*lat {
@@ -206,10 +204,7 @@ func TestFetchRunPooledCorruption(t *testing.T) {
 	if _, err := ix.FetchRunPooledCtx(ctx, ps); err == nil {
 		t.Error("corrupted directory entry in run should fail")
 	}
-	if _, err := ix.FetchRunCtx(ctx, ps); err == nil {
-		t.Error("corrupted directory entry in view run should fail")
-	}
-	if _, err := ix.FetchPooledCtx(ctx, victim); err == nil {
+	if _, err := fetchPooled(ctx, ix, victim); err == nil {
 		t.Error("corrupted directory entry should fail pooled fetch")
 	}
 }

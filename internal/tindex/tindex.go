@@ -61,6 +61,11 @@ type Index struct {
 	met    *IndexMetrics
 	rng    atomic.Uint64 // xorshift64 state for retry backoff jitter
 
+	// runBufs recycles fetchRun's read buffers (*[]byte, grown to the longest
+	// run read): zeroing a fresh multi-page buffer per run costs as much as
+	// reading into it.
+	runBufs sync.Pool
+
 	mu          sync.RWMutex
 	pages       map[temporal.Period]int       // hot tier directory
 	extents     map[temporal.Period]extentRef // cold tier directory
@@ -173,6 +178,7 @@ func Create(dir string, schema *cube.Schema, levels int, opts ...Option) (*Index
 		dir:         dir,
 		levels:      levels,
 		pool:        cube.NewPagePool(schema),
+		runBufs:     sync.Pool{New: func() any { return new([]byte) }},
 		pages:       make(map[temporal.Period]int),
 		extents:     make(map[temporal.Period]extentRef),
 		quarantined: make(map[temporal.Period]int),
@@ -223,6 +229,7 @@ func Open(dir string, schema *cube.Schema, opts ...Option) (*Index, error) {
 		dir:         dir,
 		levels:      doc.Levels,
 		pool:        cube.NewPagePool(schema),
+		runBufs:     sync.Pool{New: func() any { return new([]byte) }},
 		pages:       make(map[temporal.Period]int, len(doc.Entries)),
 		extents:     make(map[temporal.Period]extentRef),
 		quarantined: make(map[temporal.Period]int),
@@ -315,10 +322,8 @@ func (ix *Index) Periods(lvl temporal.Level) []temporal.Period {
 	return out
 }
 
-// PageOf returns the hot page id holding period p's cube, if any. Fetch
-// planners use it to spot runs of adjacent pages that a coalesced read can
-// serve with one I/O; compacted (cold) periods report false — use ExtentOf
-// for tier-aware planning.
+// PageOf returns the hot page id holding period p's cube, if any; compacted
+// (cold) periods report false. Fetch planners use the tier-aware ExtentOf.
 func (ix *Index) PageOf(p temporal.Period) (int, bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -398,61 +403,20 @@ func (ix *Index) readRef(ctx context.Context, ref pageRef, buf []byte) error {
 	return ix.store.ReadPageCtx(ctx, ref.id, buf)
 }
 
-// Fetch reads the cube for period p from disk (one page or extent I/O).
+// Fetch reads the cube for period p from disk (one page or extent I/O) into
+// a cube the caller owns and may mutate — the build side's read: rollups,
+// live folds, compaction, cache preload. Queries use FetchRunPooledCtx.
 func (ix *Index) Fetch(p temporal.Period) (*cube.Cube, error) {
 	return ix.FetchCtx(context.Background(), p)
 }
 
 // FetchCtx is Fetch honoring a context.
 func (ix *Index) FetchCtx(ctx context.Context, p temporal.Period) (*cube.Cube, error) {
-	defer ix.unpinEpoch(ix.pinEpoch())
-	ref, _, err := ix.lookup(p)
+	cubes, err := ix.fetchRun(ctx, []temporal.Period{p}, false)
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, ix.refLen(ref))
-	if err := ix.retryRead(ctx, func() error { return ix.readRef(ctx, ref, buf) }); err != nil {
-		return nil, err
-	}
-	cb, got, err := cube.UnmarshalPage(ix.schema, buf)
-	if err != nil {
-		return nil, ix.decodeErr(p, ref.id, err)
-	}
-	if got != p {
-		return nil, ix.mismatchErr(p, got, ref.id)
-	}
-	return cb, nil
-}
-
-// FetchView reads the cube for period p as a cheap reader (one page or
-// extent I/O): a lazy page view over dense payloads (no full cell decode), a
-// compact sparse cube or a materialized cube for compressed cold payloads.
-// The page checksum is always verified unless disabled with SetVerifyReads.
-func (ix *Index) FetchView(p temporal.Period) (cube.Reader, error) {
-	return ix.FetchViewCtx(context.Background(), p)
-}
-
-// FetchViewCtx is FetchView honoring a context: cancellation aborts the page
-// read (including the store's injected disk latency) instead of completing
-// it.
-func (ix *Index) FetchViewCtx(ctx context.Context, p temporal.Period) (cube.Reader, error) {
-	defer ix.unpinEpoch(ix.pinEpoch())
-	ref, verify, err := ix.lookup(p)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, ix.refLen(ref))
-	if err := ix.retryRead(ctx, func() error { return ix.readRef(ctx, ref, buf) }); err != nil {
-		return nil, err
-	}
-	view, got, err := cube.UnmarshalPageReader(ix.schema, buf, verify)
-	if err != nil {
-		return nil, ix.decodeErr(p, ref.id, err)
-	}
-	if got != p {
-		return nil, ix.mismatchErr(p, got, ref.id)
-	}
-	return view, nil
+	return cubes[0], nil
 }
 
 // SetVerifyReads toggles checksum verification on the query fetch path

@@ -1,6 +1,8 @@
 package tindex
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -380,38 +382,29 @@ func TestPersistence(t *testing.T) {
 	}
 }
 
-func TestFetchViewMatchesFetch(t *testing.T) {
-	ix := create(t, 4)
+// TestSetVerifyReads: the flag waives the checksum on the query fetch only;
+// the build side's Fetch verifies regardless, because what it reads is merged
+// into pages that get written back.
+func TestSetVerifyReads(t *testing.T) {
+	ix := create(t, 1)
 	lo := temporal.NewDay(2021, time.January, 1)
-	appendRange(t, ix, lo, temporal.NewDay(2021, time.February, 28))
+	appendRange(t, ix, lo, lo+3)
+	p := temporal.DayPeriod(lo + 1)
+	corruptOnDisk(t, ix, p)
 
-	for _, p := range []temporal.Period{
-		temporal.DayPeriod(lo + 10),
-		temporal.MonthPeriod(lo),
-	} {
-		full, err := ix.Fetch(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		view, err := ix.FetchView(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make(map[cube.Key]uint64)
-		got := make(map[cube.Key]uint64)
-		wt := full.AggregateInto(cube.Filter{}, cube.GroupBy{Country: true}, want)
-		gt := view.AggregateInto(cube.Filter{}, cube.GroupBy{Country: true}, got)
-		if wt != gt || len(want) != len(got) {
-			t.Fatalf("view disagrees with full fetch for %v: %d/%d", p, wt, gt)
-		}
-	}
-	if _, err := ix.FetchView(temporal.DayPeriod(lo - 5)); err == nil {
-		t.Error("view of missing period should fail")
-	}
-	// SetVerifyReads(false) still serves correct data for intact pages.
 	ix.SetVerifyReads(false)
-	if _, err := ix.FetchView(temporal.DayPeriod(lo)); err != nil {
-		t.Errorf("unverified view failed: %v", err)
+	cb, err := fetchPooled(context.Background(), ix, p)
+	if err != nil {
+		t.Fatalf("unverified query fetch of a checksum-damaged page: %v", err)
+	}
+	ix.ReleasePooled(cb)
+	if _, err := ix.Fetch(p); !errors.Is(err, ErrCorruptPage) {
+		t.Fatalf("build-side Fetch must always verify, got %v", err)
+	}
+	ix.clearQuarantine(p)
+	ix.SetVerifyReads(true)
+	if _, err := fetchPooled(context.Background(), ix, p); !errors.Is(err, ErrCorruptPage) {
+		t.Fatalf("verified query fetch = %v, want ErrCorruptPage", err)
 	}
 }
 
