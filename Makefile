@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test check ci lint race vet chaos covergate bench bench-e2e bench-smoke bench-faults bench-footprint bench-live bench-cluster bench-qos figures examples clean
+.PHONY: all build test check ci lint race vet chaos covergate bench bench-e2e figures examples clean
 
 all: build test
 
@@ -20,21 +20,15 @@ test: check
 check: vet lint race
 
 # ci is the full pipeline a hosted runner would execute. The chaos suite
-# certifies the degraded-mode contract at volume, and the -quick figure runs
-# smoke-test their harnesses end to end; -quick prints and writes no
-# BENCH_*.json, so ci never replaces committed full-scale results. The lint
-# run also leaves a machine-readable report at bin/lint-report.json, and the
-# analyzer suite itself (call graph, interprocedural rules, fixtures) runs
-# under the race detector explicitly so a lint-framework regression cannot
-# hide behind a cached ./... run.
+# certifies the degraded-mode contract at volume. The lint run also leaves a
+# machine-readable report at bin/lint-report.json, and the analyzer suite
+# itself (call graph, interprocedural rules, fixtures) runs under the race
+# detector explicitly so a lint-framework regression cannot hide behind a
+# cached ./... run.
 ci: build vet lint race chaos
 	$(GO) test ./...
 	$(GO) test -race -count=1 ./internal/analysis/...
 	$(GO) run ./cmd/rased-lint -json > bin/lint-report.json
-	bin/rased-bench -fig footprint -quick
-	bin/rased-bench -fig live -quick
-	bin/rased-bench -fig cluster -quick
-	bin/rased-bench -fig qos -quick
 
 # chaos is the fault-injection gate: the chaos harness at full query volume
 # under the race detector (DESIGN.md "Fault model & degraded mode"), the
@@ -67,11 +61,6 @@ vet:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Shrunk concurrency experiment: a fast end-to-end sanity run of the exec
-# subsystem (parallel fetches, singleflight, admission) on a real workspace.
-bench-smoke: build
-	bin/rased-bench -fig conc -quick
-
 # The end-to-end benchmark BENCHMARK.json declares (bench/README.md): HTTP
 # request in, rows out, through the shipped server with its default flags,
 # one untraced run per workload. The last stdout line of each run is its
@@ -81,43 +70,9 @@ bench-e2e:
 		bash bench/run.sh --workload $$w --seed 1 --seconds 10 --trace 0 || exit 1; \
 	done
 
-# Chaos availability sweep: fault rates 0 / 0.1% / 1% with degraded-mode
-# fallback on and off, through the same harness as `make chaos`. Writes the
-# committed BENCH_faults.json.
-bench-faults: build
-	bin/rased-bench -fig faults
-
-# Footprint figure: compressed cold tier vs dense v1 pages at 1x and 10x
-# load — index bytes per update and p50/p99 latency through each tier. Gated
-# (>=5x bytes/update reduction at 10x, cold p99 <= 1.2x dense); writes the
-# committed BENCH_footprint.json. The -quick variant runs inside `make ci`.
-bench-footprint: build
-	bin/rased-bench -fig footprint
-
-# Live-ingest figure: sustained epoch publication under concurrent dashboard
-# load — ingest lag quantiles, QPS vs the quiesced baseline, and the
-# zero-torn-read contract. Writes the committed BENCH_live.json. The -quick
-# variant of the same figure runs inside `make ci`.
-bench-live: build
-	bin/rased-bench -fig live
-
-# Cluster scale-out figure: scatter-gather QPS at 1/4/8 shards under the
-# Zipf-skewed dashboard mix, plus hedged-vs-unhedged tail latency with
-# injected RPC hiccups. Gated (>=3x at 8 shards, hedged p99 <= 0.8x); writes
-# the committed BENCH_cluster.json. The -quick 2-shard smoke runs in `make ci`.
-bench-cluster: build
-	bin/rased-bench -fig cluster
-
-# Multi-tenant QoS figure: the deterministic dashboard-traffic model replayed
-# under priority vs FIFO admission, the result-cache hit share, and the
-# composed chaos run (overload + faults + live folds at once). Gated
-# (interactive p99 under bulk <= 2x uncontended, no starved tenant, cache
-# hits > 30%, composed run 0 wrong / 0 untyped); writes the committed
-# BENCH_qos.json. The -quick variant runs inside `make ci`.
-bench-qos: build
-	bin/rased-bench -fig qos
-
-# Regenerate every figure of the paper's evaluation (EXPERIMENTS.md).
+# Regenerate the paper's evaluation (EXPERIMENTS.md): Figs 7-10, the Section
+# VI-A size accounting, the Section VII-A cache ablations and the example
+# queries of Figs 2-5.
 figures: build
 	bin/rased-bench -fig all
 

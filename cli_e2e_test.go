@@ -79,8 +79,62 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCLIBench drives the rased-bench binary: the instant Fig 8 run prints
+// the environment header first and then the table, an unknown figure and an
+// out-of-range flag are usage errors raised before any workspace is built.
+func TestCLIBench(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping CLI end-to-end in -short mode")
+	}
+	bin, err := buildCmds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	benchCmd := func(args ...string) (stdout, stderr string, err error) {
+		var o, e bytes.Buffer
+		cmd := exec.Command(filepath.Join(bin, "rased-bench"), args...)
+		cmd.Stdout, cmd.Stderr = &o, &e
+		err = cmd.Run()
+		return o.String(), e.String(), err
+	}
+
+	out, errOut, err := benchCmd("-fig", "8")
+	if err != nil {
+		t.Fatalf("-fig 8: %v\n%s", err, errOut)
+	}
+	first, rest, _ := strings.Cut(out, "\n")
+	for _, want := range []string{"env: go", "nproc=", "gomaxprocs=", "years=16", "updates/day=150", "latency=200µs", "seed=1"} {
+		if !strings.Contains(first, want) {
+			t.Errorf("header %q lacks %q", first, want)
+		}
+	}
+	if !strings.Contains(rest, "Figure 8: index storage vs number of levels") || !strings.Contains(rest, "4L/flat") {
+		t.Errorf("-fig 8 printed no Fig 8 table:\n%s", out)
+	}
+
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fig", "conc"}, `unknown figure "conc"`},
+		{[]string{"-fig", "7", "-queries", "0"}, "-queries must be >= 1"},
+	} {
+		start := time.Now()
+		_, errOut, err := benchCmd(tc.args...)
+		if err == nil {
+			t.Errorf("%v exited 0, want a usage error", tc.args)
+		}
+		if !strings.Contains(errOut, tc.want) || strings.Contains(errOut, "panic:") {
+			t.Errorf("%v stderr lacks %q or panicked:\n%s", tc.args, tc.want, errOut)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("%v took %v; flags must be checked before the workspace build", tc.args, d)
+		}
+	}
+}
+
 // buildCmds compiles ./cmd/... once per test binary run and returns the bin
-// directory; both end-to-end tests share the build.
+// directory; the end-to-end tests share the build.
 var buildCmds = sync.OnceValues(func() (string, error) {
 	bin, err := os.MkdirTemp("", "rased-bin-")
 	if err != nil {

@@ -8,55 +8,71 @@
 //	rased-bench -fig size      index size accounting (Section VI-A)
 //	rased-bench -fig alloc     cache allocation ablation (Section VII-A)
 //	rased-bench -fig evict     cache policy ablation: preload vs demand-filled vs none
-//	rased-bench -fig conc      concurrent clients: serial vs parallel fetches
-//	rased-bench -fig faults    availability under injected storage faults, fallback on vs off
-//	rased-bench -fig footprint compressed cold tier vs dense pages: bytes/update, latency
-//	rased-bench -fig live      live ingest: epoch publication under concurrent dashboard load
-//	rased-bench -fig cluster   scale-out: scatter-gather QPS 1→4→8 shards, hedged tail latency
-//	rased-bench -fig qos       multi-tenant QoS: priority admission, result cache, composed chaos
 //	rased-bench -fig examples  the example queries of Figures 2-5
 //	rased-bench -fig all       everything
 //
 // Absolute times are not comparable to the paper (scaled data, injected disk
-// model); the reported shapes are. See EXPERIMENTS.md. Figures with a
-// committed BENCH_*.json rewrite it on a full run only: -quick prints and
-// writes nothing.
+// model); the reported shapes are. See EXPERIMENTS.md. The first stdout line
+// records the environment the numbers were taken on.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 	"time"
 
 	"rased"
 	"rased/internal/benchx"
 	"rased/internal/cube"
-	"rased/internal/faultstore"
 	"rased/internal/osmgen"
 	"rased/internal/temporal"
 )
+
+// figures maps each -fig value to whether it needs the shared workspace.
+var figures = map[string]bool{
+	"7": true, "8": false, "9": true, "10": true,
+	"size": true, "alloc": true, "evict": true, "examples": false, "all": true,
+}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rased-bench: ")
 
 	var (
-		fig     = flag.String("fig", "all", "figure to regenerate: 7, 8, 9, 10, size, examples, all")
+		fig     = flag.String("fig", "all", "figure to regenerate: 7, 8, 9, 10, size, alloc, evict, examples, all")
 		years   = flag.Int("years", 16, "covered period for timing figures")
 		updates = flag.Int("updates", 150, "mean updates per day")
 		queries = flag.Int("queries", 100, "queries per measured point")
 		latency = flag.Duration("latency", 200*time.Microsecond, "injected per-page disk latency")
 		seed    = flag.Int64("seed", 1, "workload seed")
-		workers = flag.Int("workers", 64, "fetch worker pool size for the concurrency experiment")
-		quick   = flag.Bool("quick", false, "shrink the run to a smoke test (writes no BENCH_*.json)")
-		faults  = flag.String("faults", "", "explicit fault-injection spec for -fig faults, overriding the rate sweep (see faultstore.ParseSpec)")
 	)
 	flag.Parse()
 
-	needWS := map[string]bool{"7": true, "9": true, "10": true, "size": true, "alloc": true, "evict": true, "conc": true, "all": true}[*fig]
+	needWS, known := figures[*fig]
+	var bad string
+	switch {
+	case !known:
+		bad = fmt.Sprintf("unknown figure %q", *fig)
+	case *years < 1:
+		bad = "-years must be >= 1"
+	case *updates < 1:
+		bad = "-updates must be >= 1"
+	case *queries < 1:
+		bad = "-queries must be >= 1"
+	}
+	if bad != "" {
+		fmt.Fprintf(os.Stderr, "rased-bench: %s\n", bad)
+		flag.Usage()
+		os.Exit(2)
+	}
+
+	fmt.Printf("env: %s %s/%s nproc=%d gomaxprocs=%d years=%d updates/day=%d latency=%v seed=%d\n",
+		runtime.Version(), runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.GOMAXPROCS(0),
+		*years, *updates, *latency, *seed)
+
 	var ws *benchx.Workspace
 	if needWS {
 		cfg := benchx.DefaultWorkspaceConfig()
@@ -93,18 +109,6 @@ func main() {
 		runAlloc(ws, *queries, *seed)
 	case "evict":
 		runEvict(ws, *queries, *seed)
-	case "conc":
-		runConc(ws, *workers, *quick, *seed)
-	case "faults":
-		runFaults(*queries, *quick, *seed, *faults)
-	case "footprint":
-		runFootprint(*quick, *seed)
-	case "live":
-		runLive(*quick, *seed)
-	case "cluster":
-		runCluster(*quick, *seed)
-	case "qos":
-		runQoS(*quick, *seed)
 	case "examples":
 		runExamples(*seed, *updates)
 	case "all":
@@ -122,21 +126,7 @@ func main() {
 		fmt.Println()
 		runEvict(ws, *queries, *seed)
 		fmt.Println()
-		runConc(ws, *workers, *quick, *seed)
-		fmt.Println()
-		runFaults(*queries, *quick, *seed, *faults)
-		fmt.Println()
-		runFootprint(*quick, *seed)
-		fmt.Println()
-		runLive(*quick, *seed)
-		fmt.Println()
-		runCluster(*quick, *seed)
-		fmt.Println()
-		runQoS(*quick, *seed)
-		fmt.Println()
 		runExamples(*seed, *updates)
-	default:
-		log.Fatalf("unknown figure %q", *fig)
 	}
 }
 
@@ -214,111 +204,6 @@ func runEvict(ws *benchx.Workspace, queries int, seed int64) {
 		log.Fatal(err)
 	}
 	benchx.PrintAblationEviction(os.Stdout, points)
-}
-
-func runConc(ws *benchx.Workspace, workers int, quick bool, seed int64) {
-	ctx := context.Background()
-	clients := []int{1, 2, 4, 8, 16, 32, 64}
-	perClient := 30
-	overloadPer := 20
-	if quick {
-		clients = []int{1, 4, 16}
-		perClient = 6
-		overloadPer = 5
-	}
-	points, err := benchx.FigConc(ctx, ws, clients, perClient, workers, seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	benchx.PrintFigConc(os.Stdout, points)
-	fmt.Println()
-	over, err := benchx.OverloadConc(ctx, ws, workers, 4, 2, 48, overloadPer, seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	benchx.PrintOverload(os.Stdout, over)
-}
-
-// writeFigure persists a figure's committed JSON on full runs. A -quick
-// smoke run (what `make ci` executes) must not replace committed full-scale
-// results with its own, so it writes nothing.
-func writeFigure(quick bool, path string, write func(path string) error) {
-	if quick {
-		return
-	}
-	if err := write(path); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote %s", path)
-}
-
-func runFaults(queries int, quick bool, seed int64, spec string) {
-	// The chaos harness builds its own small deployment per point; the shared
-	// workspace is not used, so availability numbers come from the exact code
-	// path the -race chaos tests certify.
-	rates := []float64{0, 0.001, 0.01}
-	if quick {
-		queries = 1 // FigFaults floors this to its minimum sample size
-	}
-	var rules []faultstore.Rule
-	if spec != "" {
-		var err error
-		rules, err = faultstore.ParseSpec(spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	log.Printf("running chaos sweep (rates %v, fallback on/off)...", rates)
-	points, err := benchx.FigFaults(context.Background(), rates, rules, spec, queries, seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	benchx.PrintFigFaults(os.Stdout, points)
-	writeFigure(quick, "BENCH_faults.json", func(p string) error { return benchx.WriteFaultsJSON(p, points) })
-}
-
-func runFootprint(quick bool, seed int64) {
-	log.Printf("running footprint figure (quick=%v)...", quick)
-	rep, err := benchx.FigFootprint(context.Background(), quick, seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	benchx.PrintFigFootprint(os.Stdout, rep)
-	writeFigure(quick, "BENCH_footprint.json", func(p string) error { return benchx.WriteFootprintJSON(p, rep) })
-}
-
-func runLive(quick bool, seed int64) {
-	log.Printf("running live-ingest figure (quick=%v)...", quick)
-	rep, err := benchx.FigLive(context.Background(), quick, seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	benchx.PrintFigLive(os.Stdout, rep)
-	writeFigure(quick, "BENCH_live.json", func(p string) error { return benchx.WriteLiveJSON(p, rep) })
-}
-
-func runCluster(quick bool, seed int64) {
-	log.Printf("running cluster scale-out figure (quick=%v)...", quick)
-	rep, err := benchx.FigCluster(context.Background(), quick, seed)
-	if rep != nil {
-		benchx.PrintFigCluster(os.Stdout, rep)
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	writeFigure(quick, "BENCH_cluster.json", func(p string) error { return benchx.WriteClusterJSON(p, rep) })
-}
-
-func runQoS(quick bool, seed int64) {
-	log.Printf("running multi-tenant QoS figure (quick=%v)...", quick)
-	rep, err := benchx.FigQoS(context.Background(), quick, seed)
-	if rep != nil {
-		benchx.PrintFigQoS(os.Stdout, rep)
-		writeFigure(quick, "BENCH_qos.json", func(p string) error { return benchx.WriteQoSJSON(p, rep) })
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
 }
 
 func runExamples(seed int64, updates int) {

@@ -44,6 +44,9 @@ func StandardAllocations() []NamedAllocation {
 // should appear as a crossover between the all-daily and coarse-heavy rows.
 func AblationAllocation(ws *Workspace, allocs []NamedAllocation, slots int,
 	spanMonths []int, queries int, seed int64) ([]AllocationPoint, error) {
+	if err := checkQueries(queries); err != nil {
+		return nil, err
+	}
 	var out []AllocationPoint
 	for _, na := range allocs {
 		eng, err := ws.newEngine(core.Options{
@@ -97,6 +100,9 @@ type EvictionPoint struct {
 // stream and can additionally retain old-but-rehit cubes the static policy
 // never holds.
 func AblationEviction(ws *Workspace, slots int, spanMonths []int, queries int, seed int64) ([]EvictionPoint, error) {
+	if err := checkQueries(queries); err != nil {
+		return nil, err
+	}
 	policies := []struct {
 		name string
 		opts core.Options

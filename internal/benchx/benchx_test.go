@@ -62,6 +62,24 @@ func TestWorkspaceShape(t *testing.T) {
 	if _, err := NewWorkspace(WorkspaceConfig{Years: 0}); err == nil {
 		t.Error("years 0 should fail")
 	}
+	if _, err := NewWorkspace(WorkspaceConfig{Years: 1, UpdatesPerDay: 0}); err == nil {
+		t.Error("0 updates per day should fail")
+	}
+	// A point needs at least one query to average over.
+	for name, run := range map[string]func() error{
+		"Fig7":  func() error { _, err := Fig7(w, []int{8}, []int{1}, 0, 1); return err },
+		"Fig9":  func() error { _, err := Fig9(w, []int{1}, 0, 1); return err },
+		"Fig10": func() error { _, err := Fig10(w, []int{1}, 0, 1); return err },
+		"AblationAllocation": func() error {
+			_, err := AblationAllocation(w, StandardAllocations(), 8, []int{1}, 0, 1)
+			return err
+		},
+		"AblationEviction": func() error { _, err := AblationEviction(w, 8, []int{1}, 0, 1); return err },
+	} {
+		if run() == nil {
+			t.Errorf("%s with 0 queries should fail", name)
+		}
+	}
 }
 
 func TestFig7Shape(t *testing.T) {

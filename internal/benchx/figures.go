@@ -60,6 +60,15 @@ func (ws *Workspace) newEngine(opts core.Options) (*core.Engine, error) {
 	return core.NewEngine(ws.Index, opts)
 }
 
+// checkQueries rejects a per-point query count that leaves nothing to
+// average over.
+func checkQueries(queries int) error {
+	if queries < 1 {
+		return fmt.Errorf("benchx: queries per point must be >= 1, got %d", queries)
+	}
+	return nil
+}
+
 // measure runs fn n times and returns the average wall time.
 func measure(n int, fn func() error) (time.Duration, error) {
 	start := time.Now()
@@ -87,6 +96,9 @@ type Fig7Point struct {
 // (in cubes — the paper's 128 MB..4 GB maps to 32..1000 of its 4 MB cubes)
 // under query loads spanning 1, 3, 6, and 12 months.
 func Fig7(ws *Workspace, cacheSizes, spanMonths []int, queries int, seed int64) ([]Fig7Point, error) {
+	if err := checkQueries(queries); err != nil {
+		return nil, err
+	}
 	var out []Fig7Point
 	for _, slots := range cacheSizes {
 		eng, err := ws.newEngine(core.Options{
@@ -264,6 +276,9 @@ type Fig9Point struct {
 // varying the query window from one to sixteen years (windows end at the most
 // recent covered day, as dashboards query backwards from now).
 func Fig9(ws *Workspace, windowYears []int, queries int, seed int64) ([]Fig9Point, error) {
+	if err := checkQueries(queries); err != nil {
+		return nil, err
+	}
 	variants := []struct {
 		name string
 		opts core.Options
@@ -354,6 +369,9 @@ type Fig10Point struct {
 func Fig10(ws *Workspace, windowYears []int, queries int, seed int64) ([]Fig10Point, error) {
 	if ws.Table == nil {
 		return nil, fmt.Errorf("benchx: Fig10 needs a workspace built WithDBMS")
+	}
+	if err := checkQueries(queries); err != nil {
+		return nil, err
 	}
 	eng, err := ws.newEngine(core.Options{
 		CacheSlots: 512, Allocation: cache.DefaultAllocation, LevelOptimization: true,

@@ -2,8 +2,8 @@
 // benchmark deployments and regenerates every figure of the paper's
 // evaluation (Section VIII) — cache-size sweeps (Fig 7), index level storage
 // (Fig 8), the component ablation RASED-F / RASED-O / RASED (Fig 9), and the
-// comparison against a scan-based DBMS (Fig 10) — plus the example analysis
-// queries of Figures 2-5.
+// comparison against a scan-based DBMS (Fig 10) — plus the Section VII-A cache
+// ablations and the example analysis queries of Figures 2-5.
 //
 // Deployments are scaled to laptop budgets: a reduced cube schema keeps pages
 // tens of kilobytes instead of 4 MB, and pagestore latency injection models
@@ -80,6 +80,9 @@ type Workspace struct {
 func NewWorkspace(cfg WorkspaceConfig) (*Workspace, error) {
 	if cfg.Years < 1 {
 		return nil, fmt.Errorf("benchx: years must be >= 1")
+	}
+	if cfg.UpdatesPerDay < 1 {
+		return nil, fmt.Errorf("benchx: updates per day must be >= 1")
 	}
 	dir, err := os.MkdirTemp("", "rased-bench")
 	if err != nil {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -11,21 +10,16 @@ import (
 	"rased/internal/update"
 )
 
-// LocalTransport routes RPCs to in-process ShardServers — the test and
-// benchmark fabric. It models the failure surface the router must handle:
-// shards can be marked down (transport error), stalled (fixed extra latency,
-// the hedging trigger), or given random hiccups (seeded, so benchmark runs
-// are reproducible). Delays honor context cancellation, so a hedged or
-// abandoned attempt returns as soon as the router gives up on it.
+// LocalTransport routes RPCs to in-process ShardServers — the test fabric.
+// It models the failure surface the router must handle: shards can be marked
+// down (transport error) or stalled (fixed extra latency, the hedging
+// trigger). Delays honor context cancellation, so a hedged or abandoned
+// attempt returns as soon as the router gives up on it.
 type LocalTransport struct {
-	mu      sync.Mutex
-	shards  map[string]*ShardServer
-	down    map[string]bool
-	stall   map[string]time.Duration
-	base    time.Duration
-	hiccupP float64
-	hiccupD time.Duration
-	rng     *rand.Rand
+	mu     sync.Mutex
+	shards map[string]*ShardServer
+	down   map[string]bool
+	stall  map[string]time.Duration
 }
 
 // NewLocalTransport returns an empty fabric.
@@ -62,33 +56,13 @@ func (t *LocalTransport) SetStall(addr string, d time.Duration) {
 	}
 }
 
-// SetBaseDelay adds a fixed delay to every RPC on the fabric.
-func (t *LocalTransport) SetBaseDelay(d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.base = d
-}
-
-// SetHiccups makes each RPC stall an extra delay with probability p, drawn
-// from a seeded source — the latency tail hedging exists to cut.
-func (t *LocalTransport) SetHiccups(p float64, delay time.Duration, seed int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.hiccupP = p
-	t.hiccupD = delay
-	t.rng = rand.New(rand.NewSource(seed))
-}
-
 // enter snapshots the shard and the injected delay under the lock; the sleep
 // itself happens outside it so one stalled RPC never blocks the fabric.
 func (t *LocalTransport) enter(ctx context.Context, addr string) (*ShardServer, error) {
 	t.mu.Lock()
 	s, ok := t.shards[addr]
 	isDown := t.down[addr]
-	delay := t.base + t.stall[addr]
-	if t.rng != nil && t.hiccupP > 0 && t.rng.Float64() < t.hiccupP {
-		delay += t.hiccupD
-	}
+	delay := t.stall[addr]
 	t.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("cluster: no shard registered at %s: %w", addr, core.ErrUnavailable)

@@ -1,8 +1,8 @@
 // Package faultstore wraps a pagestore.Pager with deterministic, seeded
 // fault injection. It exists so the data plane's failure paths — bounded
 // retries, page quarantine, degraded-mode replanning — can be provoked on
-// demand from tests, the chaos harness, and the -faults flag on rased-bench
-// and rased-server, instead of waiting for a disk to actually die.
+// demand from tests, the chaos harness, and the -faults flag on rased-server,
+// instead of waiting for a disk to actually die.
 //
 // A Store evaluates a scriptable list of Rules against every read and write.
 // All trigger decisions (probability draws, op counting) happen under the

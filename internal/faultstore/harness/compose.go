@@ -86,25 +86,21 @@ func DefaultQoSEngineOptions() core.Options {
 // ComposedReport is the outcome of a composed run. Every replayed query
 // lands in exactly one of Exact, LiveOK, Shed, TypedFail, Wrong, Untyped.
 type ComposedReport struct {
-	Queries   int   `json:"queries"`
-	Exact     int   `json:"exact"`      // historical answers identical to the oracle
-	Replanned int   `json:"replanned"`  // of Exact: used degraded-mode fallback
-	LiveOK    int   `json:"live_ok"`    // live answers upholding epoch monotonicity
-	Shed      int   `json:"shed"`       // rejected or throttled (typed overload outcomes)
-	TypedFail int   `json:"typed_fail"` // failed with a typed fault-taxonomy error
-	Wrong     int   `json:"wrong"`      // oracle mismatch or a backwards live total
-	Untyped   int   `json:"untyped"`    // failed outside the typed taxonomy
-	CacheHits int   `json:"cache_hits"` // answers served whole from the result cache
-	Injected  int64 `json:"injected"`   // faults the store injected during the replay
-	Epochs    int   `json:"epochs"`     // live epochs published during the replay
-
-	// Elapsed is the wall time of the replay phase (excludes build and
-	// oracle pass).
-	Elapsed time.Duration `json:"elapsed_ns"`
+	Queries   int
+	Exact     int   // historical answers identical to the oracle
+	Replanned int   // of Exact: used degraded-mode fallback
+	LiveOK    int   // live answers upholding epoch monotonicity
+	Shed      int   // rejected or throttled (typed overload outcomes)
+	TypedFail int   // failed with a typed fault-taxonomy error
+	Wrong     int   // oracle mismatch or a backwards live total
+	Untyped   int   // failed outside the typed taxonomy
+	CacheHits int   // answers served whole from the result cache
+	Injected  int64 // faults the store injected during the replay
+	Epochs    int   // live epochs published during the replay
 
 	// FirstViolation describes the first wrong answer, monotonicity break,
 	// or untyped error; empty on a clean run.
-	FirstViolation string `json:"first_violation,omitempty"`
+	FirstViolation string
 }
 
 // Clean reports whether the run upheld both contracts.
@@ -232,7 +228,6 @@ func RunComposed(ctx context.Context, dir string, cfg ComposedConfig) (*Composed
 	// MarkLiveUpdate call that re-arms the engine's freshness floor. Writes
 	// do not cross the fault rules (read-side only), so a publish failure is
 	// an infrastructure error, not a chaos outcome.
-	phaseStart := time.Now()
 	var pubErr error
 	var pubWG sync.WaitGroup
 	pubWG.Add(1)
@@ -317,7 +312,6 @@ func RunComposed(ctx context.Context, dir string, cfg ComposedConfig) (*Composed
 	}
 	wg.Wait()
 	pubWG.Wait()
-	rep.Elapsed = time.Since(phaseStart)
 	rep.Injected = fs.Injected() - injectedBefore
 	if pubErr != nil {
 		return nil, pubErr

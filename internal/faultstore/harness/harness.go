@@ -4,11 +4,7 @@
 // query either returns the exact fault-free answer (bit-identical totals and
 // rows) or fails with an error from the typed fault taxonomy. Wrong answers
 // and untyped failures are the two bugs the harness exists to catch; both
-// fail a run.
-//
-// The same Run function powers the -race chaos tests (make chaos) and the
-// rased-bench faults figure, so the CI invariant and the published
-// availability numbers come from one code path.
+// fail a run. The -race chaos tests (make chaos) drive it.
 package harness
 
 import (
@@ -16,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
 	"sync"
 	"time"
 
@@ -79,21 +74,17 @@ func DefaultEngineOptions() core.Options {
 
 // Report is the outcome of a chaos run.
 type Report struct {
-	Queries   int   `json:"queries"`
-	Exact     int   `json:"exact"`      // answers bit-identical to the oracle
-	Replanned int   `json:"replanned"`  // of Exact: used degraded-mode fallback
-	TypedFail int   `json:"typed_fail"` // failed with a typed, expected error
-	Wrong     int   `json:"wrong"`      // answers that differ from the oracle
-	Untyped   int   `json:"untyped"`    // failed outside the typed taxonomy
-	Injected  int64 `json:"injected"`   // faults the store injected
-
-	// Elapsed is the wall time of the faulted query phase (excludes the
-	// build and the oracle pass), for availability-vs-throughput figures.
-	Elapsed time.Duration `json:"elapsed_ns"`
+	Queries   int
+	Exact     int   // answers bit-identical to the oracle
+	Replanned int   // of Exact: used degraded-mode fallback
+	TypedFail int   // failed with a typed, expected error
+	Wrong     int   // answers that differ from the oracle
+	Untyped   int   // failed outside the typed taxonomy
+	Injected  int64 // faults the store injected
 
 	// FirstViolation describes the first wrong answer or untyped error, for
 	// debugging; empty on a clean run.
-	FirstViolation string `json:"first_violation,omitempty"`
+	FirstViolation string
 }
 
 // Clean reports whether the run upheld the degraded-mode contract.
@@ -259,7 +250,6 @@ func Run(ctx context.Context, dir string, cfg Config) (*Report, error) {
 	}
 
 	rep := &Report{Queries: cfg.Queries}
-	phaseStart := time.Now()
 	var mu sync.Mutex
 	violation := func(format string, args ...any) {
 		if rep.FirstViolation == "" {
@@ -310,7 +300,6 @@ func Run(ctx context.Context, dir string, cfg Config) (*Report, error) {
 		}(w, n)
 	}
 	wg.Wait()
-	rep.Elapsed = time.Since(phaseStart)
 	rep.Injected = fs.Injected() - injectedBefore
 	return rep, nil
 }
@@ -350,13 +339,4 @@ func DeadRollupRules(ix *tindex.Index) []faultstore.Rule {
 		rules = append(rules, faultstore.Rule{Op: faultstore.OpRead, Kind: faultstore.KindCorrupt, Page: page})
 	}
 	return rules
-}
-
-// ParseRate is a convenience for flags: "0.01" -> RateRules(0.01).
-func ParseRate(s string) ([]faultstore.Rule, error) {
-	p, err := strconv.ParseFloat(s, 64)
-	if err != nil || p < 0 || p > 1 {
-		return nil, fmt.Errorf("harness: fault rate %q must be a probability in [0,1]", s)
-	}
-	return RateRules(p), nil
 }

@@ -8,6 +8,7 @@ package harness
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"strconv"
 	"testing"
@@ -59,17 +60,24 @@ func TestChaosFaultFree(t *testing.T) {
 
 // TestChaosOnePercent is the headline acceptance run: a 1% mixed fault rate
 // (transient + read corruption) under concurrent load, zero wrong answers.
+// The 0.1% row is the rate proportionate fault handling is judged at; its
+// availability is logged, not gated.
 func TestChaosOnePercent(t *testing.T) {
-	rep := runChaos(t, Config{
-		Seed:    2,
-		Queries: chaosQueries(t, 300),
-		Rules:   RateRules(0.01),
-	})
-	if rep.Injected == 0 {
-		t.Fatal("1% schedule injected nothing; the run proved nothing")
-	}
-	if rep.Exact == 0 {
-		t.Fatal("no query survived a 1% fault rate; availability collapsed")
+	for _, rate := range []float64{0.001, 0.01} {
+		t.Run(fmt.Sprintf("rate-%g", rate), func(t *testing.T) {
+			rep := runChaos(t, Config{
+				Seed:    2,
+				Queries: chaosQueries(t, 300),
+				Rules:   RateRules(rate),
+			})
+			if rep.Injected == 0 {
+				t.Fatalf("%g schedule injected nothing; the run proved nothing", rate)
+			}
+			if rep.Exact == 0 {
+				t.Fatalf("no query survived a %g fault rate; availability collapsed", rate)
+			}
+			t.Logf("availability at rate %g: %.4f", rate, float64(rep.Exact)/float64(rep.Queries))
+		})
 	}
 }
 
@@ -108,20 +116,33 @@ func TestChaosTransientOnly(t *testing.T) {
 	}
 }
 
-// TestChaosFallbackOff re-runs a corrupting schedule with degraded fallback
-// disabled: availability drops (that is the point of the feature), but
-// failures must still be typed and answers exact.
+// TestChaosFallbackOff re-runs corrupting schedules — a random rate and a
+// dead page under every monthly rollup — with degraded fallback disabled:
+// availability drops (that is the point of the feature), but failures must
+// still be typed and answers exact.
 func TestChaosFallbackOff(t *testing.T) {
 	opts := DefaultEngineOptions()
 	opts.DegradedFallback = false
-	rep := runChaos(t, Config{
-		Seed:    5,
-		Queries: chaosQueries(t, 200),
-		Rules:   RateRules(0.02),
-		Opts:    &opts,
-	})
-	if rep.Replanned != 0 {
-		t.Fatalf("fallback disabled but %d queries replanned", rep.Replanned)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"rate-0.02", Config{Rules: RateRules(0.02)}},
+		{"dead-rollups", Config{RuleFunc: DeadRollupRules}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Seed = 5
+			cfg.Queries = chaosQueries(t, 200)
+			cfg.Opts = &opts
+			rep := runChaos(t, cfg)
+			if rep.Injected == 0 {
+				t.Fatal("schedule injected nothing")
+			}
+			if rep.Replanned != 0 {
+				t.Fatalf("fallback disabled but %d queries replanned", rep.Replanned)
+			}
+		})
 	}
 }
 
@@ -146,20 +167,5 @@ func TestChaosDeadRollups(t *testing.T) {
 	}
 	if rep.Replanned == 0 {
 		t.Fatal("no query replanned; the dead pages were never hit")
-	}
-}
-
-func TestParseRate(t *testing.T) {
-	for _, bad := range []string{"", "x", "-0.1", "1.5"} {
-		if _, err := ParseRate(bad); err == nil {
-			t.Errorf("ParseRate(%q) accepted", bad)
-		}
-	}
-	rules, err := ParseRate("0.01")
-	if err != nil || len(rules) != 2 {
-		t.Fatalf("ParseRate(0.01) = %v, %v", rules, err)
-	}
-	if rules, err := ParseRate("0"); err != nil || rules != nil {
-		t.Fatalf("ParseRate(0) = %v, %v; want nil rules", rules, err)
 	}
 }

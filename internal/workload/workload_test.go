@@ -19,7 +19,7 @@ func testConfig(seed int64) Config {
 }
 
 // TestGoldenDeterminism pins the generator: the same seed must produce a
-// byte-identical trace, run to run — BENCH_qos.json depends on it.
+// byte-identical trace, run to run — the bench/ workloads replay it.
 func TestGoldenDeterminism(t *testing.T) {
 	a, err := Generate(testConfig(42))
 	if err != nil {
