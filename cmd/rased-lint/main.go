@@ -1,6 +1,7 @@
 // Command rased-lint runs RASED's project-specific static analysis: the
 // rules that keep PR 1's observability wiring and PR 2's concurrency
-// contract true as the tree evolves (see DESIGN.md "Enforced invariants").
+// contract true as the tree evolves (see DESIGN.md "Enforced invariants"),
+// plus the check that every //rased: directive is one a rule reads.
 //
 // Usage:
 //
@@ -10,8 +11,8 @@
 // packages whose import path matches the prefix ("./..." and module-relative
 // forms like ./internal/core are accepted).
 //
-// Exit status: 0 clean, 1 findings remain after the allowlist, 2 usage or
-// load failure.
+// There is no allowlist: a finding is fixed in code. Exit status: 0 clean,
+// 1 findings, 2 usage or load failure.
 package main
 
 import (
@@ -31,12 +32,9 @@ func main() {
 
 func run() int {
 	var (
-		rootFlag  = flag.String("C", "", "module root to lint (default: nearest go.mod above the working directory)")
-		jsonOut   = flag.Bool("json", false, "emit findings as a JSON report on stdout")
-		allowFlag = flag.String("allow", "", "allowlist file of audited exceptions (default: <root>/.rased-lint.allow when present)")
-		ruleFlag  = flag.String("rules", "", "comma-separated rule IDs to run (default: all)")
-		list      = flag.Bool("list", false, "list the available rules and exit")
-		prune     = flag.Bool("prune", false, "rewrite the allowlist dropping stale entries (comments and order preserved)")
+		rootFlag = flag.String("C", "", "module root to lint (default: nearest go.mod above the working directory)")
+		ruleFlag = flag.String("rules", "", "comma-separated rule IDs to run (default: all; //rased: directives are always checked)")
+		list     = flag.Bool("list", false, "list the available rules and exit")
 	)
 	flag.Parse()
 
@@ -90,51 +88,14 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "rased-lint: %v\n", err)
 		return 2
 	}
-
-	allowPath := *allowFlag
-	if allowPath == "" {
-		allowPath = filepath.Join(root, ".rased-lint.allow")
+	// Directives are checked against every rule, not the -rules selection.
+	findings = append(findings, analysis.CheckDirectives(loader.Fset(), pkgs, rules.All(), root)...)
+	analysis.Sort(findings)
+	for _, f := range findings {
+		fmt.Println(f)
 	}
-	allow, err := analysis.LoadAllowlist(allowPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rased-lint: %v\n", err)
-		return 2
-	}
-	kept, suppressed, stale := allow.Filter(findings)
-	for _, e := range stale {
-		fmt.Fprintf(os.Stderr, "rased-lint: stale allowlist entry (fixed upstream? remove it): %s %s %s\n", e.Rule, e.Path, e.Match)
-	}
-	if *prune {
-		// Staleness is only meaningful for a full run: an entry for a rule or
-		// package excluded from this run suppressed nothing by construction.
-		if *ruleFlag != "" || len(flag.Args()) > 0 {
-			fmt.Fprintln(os.Stderr, "rased-lint: -prune requires a full run (no -rules, no package arguments)")
-			return 2
-		}
-		n, err := analysis.PruneFile(allowPath, stale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rased-lint: %v\n", err)
-			return 2
-		}
-		if n > 0 {
-			fmt.Fprintf(os.Stderr, "rased-lint: pruned %d stale entry(ies) from %s\n", n, allowPath)
-		}
-	}
-
-	if *jsonOut {
-		if err := analysis.WriteJSON(os.Stdout, loader.ModulePath, kept, len(suppressed)); err != nil {
-			fmt.Fprintf(os.Stderr, "rased-lint: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, f := range kept {
-			fmt.Println(f)
-		}
-		if len(kept) > 0 {
-			fmt.Fprintf(os.Stderr, "rased-lint: %d finding(s) in %d package(s)\n", len(kept), len(pkgs))
-		}
-	}
-	if len(kept) > 0 {
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "rased-lint: %d finding(s) in %d package(s)\n", len(findings), len(pkgs))
 		return 1
 	}
 	return 0

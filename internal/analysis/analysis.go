@@ -5,8 +5,10 @@
 // documented in DESIGN.md but trivially lost to a careless edit. This package
 // turns those prose rules into machine-checked ones: a rule interface over
 // go/ast + go/types, a module loader (stdlib-only, matching the repo's
-// zero-dependency go.mod), position-accurate findings with JSON output, and
-// an allowlist for audited exceptions.
+// zero-dependency go.mod), a whole-program call graph, position-accurate
+// findings, and //rased: declaration directives (directive.go) through which
+// a function opts into or out of a rule. There is no allowlist: a finding is
+// fixed in code.
 //
 // The shipped rules live in the rules subpackage; cmd/rased-lint is the
 // driver that gates every build via `make lint` (part of `make check`).
@@ -22,11 +24,11 @@ import (
 // Finding is one rule violation at a source position. File is slash-separated
 // and relative to the module root when the position is inside the module.
 type Finding struct {
-	Rule    string `json:"rule"`
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Message string `json:"message"`
+	Rule    string
+	File    string
+	Line    int
+	Col     int
+	Message string
 }
 
 // String renders the finding in the conventional file:line:col form.
@@ -38,7 +40,7 @@ func (f Finding) String() string {
 // that also need a whole-program view (cross-package uniqueness, for example)
 // additionally implement Finisher.
 type Analyzer interface {
-	// Name is the stable rule ID used in findings and allowlist entries.
+	// Name is the stable rule ID used in findings and -rules.
 	Name() string
 	// Doc is a one-line description of the enforced invariant.
 	Doc() string
@@ -159,7 +161,7 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []Analyzer, base string
 }
 
 // Sort orders findings by file, line, column, rule, message — the stable
-// order used by both the text and JSON encoders.
+// order rased-lint prints them in.
 func Sort(fs []Finding) {
 	sort.Slice(fs, func(i, j int) bool {
 		a, b := fs[i], fs[j]

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -13,179 +11,6 @@ import (
 	"testing"
 )
 
-func TestAllowlistRoundTrip(t *testing.T) {
-	al := &Allowlist{Entries: []AllowEntry{
-		{Rule: "ctxflow", Path: "internal/benchx/conc.go"},
-		{Rule: "lockio", Path: "internal/*/store.go", Match: "time.Sleep"},
-		{Rule: "metricsreg", Path: "internal/server/server.go", Match: "already constructed elsewhere"},
-	}}
-	text := al.Format()
-	back, err := ParseAllowlist(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(al, back) {
-		t.Fatalf("round-trip mismatch:\n  in:  %+v\n  out: %+v", al.Entries, back.Entries)
-	}
-	if again := back.Format(); again != text {
-		t.Fatalf("format not stable:\n%q\n%q", text, again)
-	}
-}
-
-func TestAllowlistParseErrors(t *testing.T) {
-	if _, err := ParseAllowlist("onlyonefield\n"); err == nil {
-		t.Error("single-field line should fail to parse")
-	}
-	al, err := ParseAllowlist("# comment\n\n  \t\n")
-	if err != nil || len(al.Entries) != 0 {
-		t.Errorf("comments and blanks should parse to an empty list, got %v, %v", al.Entries, err)
-	}
-}
-
-func TestAllowlistFilter(t *testing.T) {
-	al := &Allowlist{Entries: []AllowEntry{
-		{Rule: "lockio", Path: "internal/pagestore/pagestore.go", Match: "Sync"},
-		{Rule: "errwrap", Path: "internal/*.go"}, // stale: matches nothing below
-	}}
-	findings := []Finding{
-		{Rule: "lockio", File: "internal/pagestore/pagestore.go", Line: 10, Message: "(*os.File).Sync while s.mu is held"},
-		{Rule: "lockio", File: "internal/pagestore/pagestore.go", Line: 20, Message: "channel send while s.mu is held"},
-		{Rule: "ctxflow", File: "internal/core/engine.go", Line: 5, Message: "context.Background() outside main"},
-	}
-	kept, suppressed, stale := al.Filter(findings)
-	if len(kept) != 2 || len(suppressed) != 1 {
-		t.Fatalf("kept %d suppressed %d, want 2/1", len(kept), len(suppressed))
-	}
-	if suppressed[0].Line != 10 {
-		t.Errorf("suppressed the wrong finding: %v", suppressed[0])
-	}
-	if len(stale) != 1 || stale[0].Rule != "errwrap" {
-		t.Errorf("stale = %v, want the errwrap entry", stale)
-	}
-}
-
-// TestPruneFile pins -prune's contract: stale entry lines vanish, comments
-// and blank lines survive verbatim, and the remaining entries still parse to
-// the original list minus the stale ones.
-func TestPruneFile(t *testing.T) {
-	const orig = `# audited exceptions — keep each with its justification
-lockio internal/pagestore/pagestore.go Sync
-
-# fixed in PR 7, should be pruned
-errwrap internal/*.go
-
-ctxflow   internal/benchx/conc.go
-`
-	file := filepath.Join(t.TempDir(), ".rased-lint.allow")
-	if err := os.WriteFile(file, []byte(orig), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	n, err := PruneFile(file, []AllowEntry{{Rule: "errwrap", Path: "internal/*.go"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("pruned %d lines, want 1", n)
-	}
-	got, err := os.ReadFile(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const want = `# audited exceptions — keep each with its justification
-lockio internal/pagestore/pagestore.go Sync
-
-# fixed in PR 7, should be pruned
-
-ctxflow   internal/benchx/conc.go
-`
-	if string(got) != want {
-		t.Fatalf("pruned file:\n%q\nwant:\n%q", got, want)
-	}
-	al, err := LoadAllowlist(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantEntries := []AllowEntry{
-		{Rule: "lockio", Path: "internal/pagestore/pagestore.go", Match: "Sync"},
-		{Rule: "ctxflow", Path: "internal/benchx/conc.go"},
-	}
-	if !reflect.DeepEqual(al.Entries, wantEntries) {
-		t.Fatalf("entries after prune = %+v, want %+v", al.Entries, wantEntries)
-	}
-
-	// Nothing stale: the file must not be rewritten at all.
-	before, _ := os.Stat(file)
-	if n, err := PruneFile(file, nil); err != nil || n != 0 {
-		t.Fatalf("no-op prune: n=%d err=%v", n, err)
-	}
-	after, _ := os.Stat(file)
-	if !after.ModTime().Equal(before.ModTime()) {
-		t.Error("no-op prune rewrote the file")
-	}
-
-	// A missing file is not an error.
-	if n, err := PruneFile(filepath.Join(t.TempDir(), "nope"), wantEntries); err != nil || n != 0 {
-		t.Fatalf("missing file prune: n=%d err=%v", n, err)
-	}
-}
-
-func TestLoadMissingAllowlist(t *testing.T) {
-	al, err := LoadAllowlist(filepath.Join(t.TempDir(), "nope"))
-	if err != nil || len(al.Entries) != 0 {
-		t.Fatalf("missing file should yield empty allowlist, got %v, %v", al, err)
-	}
-}
-
-// TestJSONSchema pins the -json output contract consumed by CI tooling.
-func TestJSONSchema(t *testing.T) {
-	var buf bytes.Buffer
-	findings := []Finding{{Rule: "lockio", File: "a.go", Line: 3, Col: 7, Message: "boom"}}
-	if err := WriteJSON(&buf, "rased", findings, 2); err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Module     string `json:"module"`
-		Count      int    `json:"count"`
-		Suppressed int    `json:"suppressed"`
-		Findings   []struct {
-			Rule    string `json:"rule"`
-			File    string `json:"file"`
-			Line    int    `json:"line"`
-			Col     int    `json:"col"`
-			Message string `json:"message"`
-		} `json:"findings"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Module != "rased" || rep.Count != 1 || rep.Suppressed != 2 {
-		t.Errorf("header fields wrong: %+v", rep)
-	}
-	if len(rep.Findings) != 1 || rep.Findings[0] != (struct {
-		Rule    string `json:"rule"`
-		File    string `json:"file"`
-		Line    int    `json:"line"`
-		Col     int    `json:"col"`
-		Message string `json:"message"`
-	}{"lockio", "a.go", 3, 7, "boom"}) {
-		t.Errorf("findings wrong: %+v", rep.Findings)
-	}
-
-	// An empty run must still encode findings as [], not null.
-	buf.Reset()
-	if err := WriteJSON(&buf, "rased", nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
-		t.Fatal(err)
-	}
-	if string(raw["findings"]) != "[]" {
-		t.Errorf("empty findings encode as %s, want []", raw["findings"])
-	}
-}
-
 func TestExpectations(t *testing.T) {
 	src := `package p
 
@@ -193,6 +18,9 @@ func f() {
 	g() // want "first" "second"
 	h() // plain comment
 }
+
+//rased:x // want "third"
+func k() {}
 `
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
@@ -203,9 +31,11 @@ func f() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ex) != 1 || ex[0].Line != 4 || !reflect.DeepEqual(ex[0].Want, []string{"first", "second"}) {
+	if len(ex) != 2 || ex[0].Line != 4 || !reflect.DeepEqual(ex[0].Want, []string{"first", "second"}) ||
+		ex[1].Line != 8 || !reflect.DeepEqual(ex[1].Want, []string{"third"}) {
 		t.Fatalf("expectations = %+v", ex)
 	}
+	ex = ex[:1]
 	problems := CheckExpectations(ex, []Finding{{File: "p.go", Line: 4, Message: "has first and second inside"}})
 	if len(problems) != 0 {
 		t.Errorf("clean match reported problems: %v", problems)

@@ -69,8 +69,8 @@ func (n *FuncNode) Name() string {
 	return n.Pkg.Path + "." + n.DeclName()
 }
 
-// DeclName returns the package-local name used by registries: "Func" for
-// package functions, "(*T).Method" or "T.Method" for methods.
+// DeclName returns the package-local name: "Func" for package functions,
+// "(*T).Method" or "T.Method" for methods.
 func (n *FuncNode) DeclName() string {
 	sig := n.Fn.Type().(*types.Signature)
 	recv := sig.Recv()
@@ -166,17 +166,6 @@ func (p *Program) Node(fn *types.Func) *FuncNode { return p.funcs[fn] }
 // Nodes returns every declared function in deterministic declaration order.
 func (p *Program) Nodes() []*FuncNode { return p.nodes }
 
-// NodeByDeclName finds a node in pkg by its registry name ("Func" or
-// "(*T).Method"). Returns nil when no such declaration exists.
-func (p *Program) NodeByDeclName(pkg *Package, name string) *FuncNode {
-	for _, n := range p.nodes {
-		if n.Pkg == pkg && n.DeclName() == name {
-			return n
-		}
-	}
-	return nil
-}
-
 // resolveCalls walks one declaration recording every call site.
 func (p *Program) resolveCalls(n *FuncNode) {
 	goCalls := map[*ast.CallExpr]bool{}
@@ -196,7 +185,7 @@ func (p *Program) resolveCalls(n *FuncNode) {
 				litDepth--
 				return false
 			case *ast.CallExpr:
-				callees, dynamic := p.resolveTargets(n.Pkg, node)
+				callees, dynamic := p.ResolveCall(n.Pkg, node)
 				n.Calls = append(n.Calls, &CallSite{
 					Call:      node,
 					Callees:   callees,
@@ -213,13 +202,9 @@ func (p *Program) resolveCalls(n *FuncNode) {
 }
 
 // ResolveCall resolves one call expression from pkg to its candidate targets
-// in the program, for rules that run their own flow-sensitive walks.
+// in the program, reporting whether the call is dynamic (interface dispatch).
 func (p *Program) ResolveCall(pkg *Package, call *ast.CallExpr) (callees []*FuncNode, dynamic bool) {
-	return p.resolveTargets(pkg, call)
-}
-
-func (p *Program) resolveTargets(pkg *Package, call *ast.CallExpr) ([]*FuncNode, bool) {
-	fn := calleeOf(pkg.Info, call)
+	fn := Callee(pkg.Info, call)
 	if fn == nil {
 		return nil, false
 	}
@@ -265,10 +250,10 @@ func (p *Program) implementersOf(ifaceType types.Type, name string) []*FuncNode 
 	return out
 }
 
-// calleeOf resolves a call expression to the invoked *types.Func (direct
+// Callee resolves a call expression to the invoked *types.Func (direct
 // calls, method calls, and method expressions), or nil for conversions,
 // builtins, and calls of plain function-typed values.
-func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
+func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fn, ok := info.Uses[fun].(*types.Func); ok {
@@ -283,16 +268,11 @@ func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 }
 
 // calleeNodes returns the deduplicated callee set of a node across every call
-// site, excluding `go` statements when syncOnly is set (a spawned goroutine
-// does not run under the caller's critical sections, and its effects are not
-// the caller's synchronous effects).
-func (n *FuncNode) calleeNodes(syncOnly bool) []*FuncNode {
+// site.
+func (n *FuncNode) calleeNodes() []*FuncNode {
 	var out []*FuncNode
 	seen := map[*FuncNode]bool{}
 	for _, cs := range n.Calls {
-		if syncOnly && cs.Go {
-			continue
-		}
 		for _, c := range cs.Callees {
 			if !seen[c] {
 				seen[c] = true
@@ -303,7 +283,7 @@ func (n *FuncNode) calleeNodes(syncOnly bool) []*FuncNode {
 	return out
 }
 
-// condense runs Tarjan's SCC algorithm over the synchronous call edges. SCCs
+// condense runs Tarjan's SCC algorithm over the call edges. SCCs
 // come out in reverse topological order — every SCC is emitted after the
 // SCCs it calls into — which is exactly the bottom-up order summary
 // computations need.
@@ -316,7 +296,7 @@ func (p *Program) condense() {
 		index++
 		stack = append(stack, v)
 		v.onStack = true
-		for _, w := range v.calleeNodes(false) {
+		for _, w := range v.calleeNodes() {
 			if w.index == 0 {
 				strongconnect(w)
 				if w.lowlink < v.lowlink {
@@ -350,43 +330,3 @@ func (p *Program) condense() {
 // SCCs returns the strongly connected components of the call graph in
 // bottom-up (callees-first) order.
 func (p *Program) SCCs() [][]*FuncNode { return p.sccs }
-
-// SCCOf returns the component containing n (every node belongs to exactly
-// one).
-func (p *Program) SCCOf(n *FuncNode) []*FuncNode {
-	for _, scc := range p.sccs {
-		for _, m := range scc {
-			if m == n {
-				return scc
-			}
-		}
-	}
-	return nil
-}
-
-// Reachable computes the transitive closure of the call graph from the given
-// roots, following every edge (including `go` statements and calls written
-// in function literals — an error produced or a lock taken on a concurrent
-// path still happened on behalf of the root).
-func (p *Program) Reachable(roots []*FuncNode) map[*FuncNode]bool {
-	seen := map[*FuncNode]bool{}
-	var stack []*FuncNode
-	for _, r := range roots {
-		if r != nil && !seen[r] {
-			seen[r] = true
-			stack = append(stack, r)
-		}
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range n.calleeNodes(false) {
-			if !seen[c] {
-				seen[c] = true
-				stack = append(stack, c)
-			}
-		}
-	}
-	return seen
-}
-

@@ -36,14 +36,17 @@ func loadCallgraphFixture(t *testing.T) (*Program, *Package) {
 	return NewProgram(loader.Fset(), []*Package{pkg}), pkg
 }
 
-// mustNode resolves a registry name or fails the test.
+// mustNode resolves a declaration name ("Func", "(*T).Method") or fails the
+// test.
 func mustNode(t *testing.T, prog *Program, pkg *Package, name string) *FuncNode {
 	t.Helper()
-	n := prog.NodeByDeclName(pkg, name)
-	if n == nil {
-		t.Fatalf("NodeByDeclName(%q) = nil", name)
+	for _, n := range prog.Nodes() {
+		if n.Pkg == pkg && n.DeclName() == name {
+			return n
+		}
 	}
-	return n
+	t.Fatalf("no node %q", name)
+	return nil
 }
 
 // siteFor finds the call site in n whose callee expression is the plain
@@ -76,8 +79,8 @@ func TestCallGraphRecursion(t *testing.T) {
 	prog, pkg := loadCallgraphFixture(t)
 
 	fact := mustNode(t, prog, pkg, "fact")
-	if scc := prog.SCCOf(fact); len(scc) != 1 || scc[0] != fact {
-		t.Errorf("SCCOf(fact) = %v, want the one-node component", scc)
+	if scc := prog.SCCs()[sccIndexOf(t, prog, fact)]; len(scc) != 1 {
+		t.Errorf("fact's SCC = %v, want the one-node component", scc)
 	}
 	if cs := siteFor(t, fact, "fact"); len(cs.Callees) != 1 || cs.Callees[0] != fact {
 		t.Errorf("fact's self call resolves to %v, want fact", cs.Callees)
@@ -85,11 +88,11 @@ func TestCallGraphRecursion(t *testing.T) {
 
 	isEven := mustNode(t, prog, pkg, "isEven")
 	isOdd := mustNode(t, prog, pkg, "isOdd")
-	scc := prog.SCCOf(isEven)
-	if len(scc) != 2 {
-		t.Fatalf("SCCOf(isEven) has %d nodes, want 2", len(scc))
+	i := sccIndexOf(t, prog, isEven)
+	if scc := prog.SCCs()[i]; len(scc) != 2 {
+		t.Fatalf("isEven's SCC has %d nodes, want 2", len(scc))
 	}
-	if prog.SCCOf(isOdd)[0] != scc[0] {
+	if sccIndexOf(t, prog, isOdd) != i {
 		t.Error("isEven and isOdd are in different SCCs")
 	}
 }
@@ -158,7 +161,17 @@ func TestCallGraphBottomUpOrderAndReachability(t *testing.T) {
 
 	// Reachability follows go statements, literals, and dynamic dispatch —
 	// but not calls of plain function values.
-	seen := prog.Reachable([]*FuncNode{run})
+	seen := map[*FuncNode]bool{run: true}
+	for stack := []*FuncNode{run}; len(stack) > 0; {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, c := range n.calleeNodes() {
+			if !seen[c] {
+				seen[c] = true
+				stack = append(stack, c)
+			}
+		}
+	}
 	for _, name := range []string{"fact", "isOdd", "spawned", "cleanup", "inLiteral", "diskFlusher.flush", "(*memFlusher).flush"} {
 		if !seen[mustNode(t, prog, pkg, name)] {
 			t.Errorf("%s not reachable from run", name)

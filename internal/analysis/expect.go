@@ -10,6 +10,8 @@ import (
 
 // Expectation is one `// want "substring"` annotation in a fixture file: the
 // named line must produce a finding whose message contains each substring.
+// The annotation may also trail another line comment, as in
+// `//rased:hotpth // want "unknown directive"`.
 type Expectation struct {
 	File string
 	Line int
@@ -29,6 +31,9 @@ func Expectations(fset *token.FileSet, files []*ast.File) ([]Expectation, error)
 				}
 				text = strings.TrimSpace(text)
 				rest, ok := strings.CutPrefix(text, "want ")
+				if !ok {
+					_, rest, ok = strings.Cut(text, "// want ")
+				}
 				if !ok {
 					continue
 				}

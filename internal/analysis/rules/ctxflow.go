@@ -17,7 +17,10 @@ import (
 //   - a function that has a context.Context in scope must not call the
 //     context-less variant of a callee that also provides a FooCtx or
 //     FooContext form — exactly the drift that would silently detach
-//     cancellation from the disk path.
+//     cancellation from the disk path;
+//   - a for loop that sleeps (time.Sleep/After/NewTimer/Tick) — the retry
+//     backoff shape — must consult ctx.Err() or ctx.Done() inside the loop,
+//     so a cancelled query never keeps backing off against a failing store.
 type Ctxflow struct{}
 
 // NewCtxflow returns the ctxflow analyzer.
@@ -28,7 +31,7 @@ func (*Ctxflow) Name() string { return "ctxflow" }
 
 // Doc implements analysis.Analyzer.
 func (*Ctxflow) Doc() string {
-	return "context must flow end-to-end: no Background()/TODO() outside main and compat shims; prefer FooCtx variants when a ctx is in scope"
+	return "context must flow end-to-end: no Background()/TODO() outside main and compat shims; prefer FooCtx variants when a ctx is in scope; sleeping loops consult ctx.Err()/ctx.Done()"
 }
 
 // Run implements analysis.Analyzer.
@@ -56,6 +59,8 @@ func (c *Ctxflow) walk(pass *analysis.Pass, body ast.Node, isMain, shim, ctxInSc
 		case *ast.FuncLit:
 			c.walk(pass, n.Body, isMain, shim, ctxInScope || fieldListHasContext(pass.Pkg.Info, n.Type.Params))
 			return false
+		case *ast.ForStmt:
+			checkLoop(pass, n)
 		case *ast.CallExpr:
 			c.checkCall(pass, n, isMain, shim, ctxInScope)
 		}
@@ -63,8 +68,38 @@ func (c *Ctxflow) walk(pass *analysis.Pass, body ast.Node, isMain, shim, ctxInSc
 	})
 }
 
+// checkLoop flags a for loop whose body sleeps without consulting a context.
+// Nested loops get their own check and function literals are skipped: a
+// goroutine that sleeps is not this loop's backoff.
+func checkLoop(pass *analysis.Pass, loop *ast.ForStmt) {
+	var sleeps, consults bool
+	ast.Inspect(loop.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ForStmt, *ast.RangeStmt, *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			if fn := analysis.Callee(pass.Pkg.Info, n); fn != nil && pkgPath(fn) == "time" {
+				switch fn.Name() {
+				case "Sleep", "After", "NewTimer", "Tick":
+					sleeps = true
+				}
+			}
+		case *ast.SelectorExpr:
+			if n.Sel.Name == "Err" || n.Sel.Name == "Done" {
+				if tv, ok := pass.Pkg.Info.Types[n.X]; ok && isContextType(tv.Type) {
+					consults = true
+				}
+			}
+		}
+		return true
+	})
+	if sleeps && !consults {
+		pass.Reportf(loop.Pos(), "retry loop sleeps without consulting ctx.Err()/ctx.Done(); a cancelled query must not keep backing off")
+	}
+}
+
 func (c *Ctxflow) checkCall(pass *analysis.Pass, call *ast.CallExpr, isMain, shim, ctxInScope bool) {
-	fn := calleeFunc(pass.Pkg.Info, call)
+	fn := analysis.Callee(pass.Pkg.Info, call)
 	if fn == nil {
 		return
 	}

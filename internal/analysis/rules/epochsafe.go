@@ -2,187 +2,63 @@ package rules
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 
 	"rased/internal/analysis"
 )
 
-// epochRegFile is the per-package registry declaring which functions may
-// write cube pages. Like faultpath_reg.go it is build-tagged out of normal
-// builds (epochreg) and read straight from the package directory.
-const epochRegFile = "epochsafe_reg.go"
+// epochsafePkg is the package bound by the epoch immutability rule: the
+// temporal index, which owns every page the directory can reach.
+const epochsafePkg = "rased/internal/tindex"
 
-// DefaultEpochsafeScope is the package bound by the epoch immutability rule:
-// the temporal index, which owns every page the directory can reach.
-var DefaultEpochsafeScope = []string{
-	"rased/internal/tindex",
-}
+// pageWrites are the page-store methods that write cube pages or extents.
+var pageWrites = map[string]bool{"WritePage": true, "Append": true, "WriteExtent": true, "AppendExtent": true}
 
 // Epochsafe enforces the live-ingest copy-on-write contract: a published
 // page is immutable, so the only code allowed to call WritePage, Append,
 // WriteExtent, or AppendExtent on a page store is the audited set of swap
 // sites — the batch write path (no concurrent readers by contract) and the
 // scratch-staging paths (target pages and extents unreachable from the
-// directory until the epoch swap). Concretely:
-//
-//   - every function in the scoped package that calls a WritePage, Append,
-//     WriteExtent, or AppendExtent method must be declared in the package's
-//     epochsafe_reg.go registry (var EpochSwapSites);
-//   - the registry must carry the epochreg build tag and must not list
-//     functions that no longer exist.
-//
-// A new page-writing helper therefore cannot land without an explicit,
-// reviewable registry edit arguing why it cannot clobber a published page.
-type Epochsafe struct {
-	scope map[string]bool
-}
+// directory until the epoch swap). Each such function carries
+// //rased:pagewrite in its doc comment; a page write anywhere else in tindex
+// is a finding. A new page-writing helper therefore cannot land without a
+// reviewable directive arguing why it cannot clobber a published page.
+type Epochsafe struct{}
 
-// NewEpochsafe returns the epochsafe analyzer; with no arguments it checks
-// DefaultEpochsafeScope.
-func NewEpochsafe(scope ...string) *Epochsafe {
-	if len(scope) == 0 {
-		scope = DefaultEpochsafeScope
-	}
-	m := make(map[string]bool, len(scope))
-	for _, p := range scope {
-		m[p] = true
-	}
-	return &Epochsafe{scope: m}
-}
+// NewEpochsafe returns the epochsafe analyzer.
+func NewEpochsafe() *Epochsafe { return &Epochsafe{} }
 
 // Name implements analysis.Analyzer.
 func (*Epochsafe) Name() string { return "epochsafe" }
 
 // Doc implements analysis.Analyzer.
 func (*Epochsafe) Doc() string {
-	return "published cube pages are immutable: page-store WritePage/Append/WriteExtent/AppendExtent calls are allowed only in the audited swap sites registered in epochsafe_reg.go"
+	return "published cube pages are immutable: tindex calls WritePage/Append/WriteExtent/AppendExtent only from //rased:pagewrite functions"
 }
 
-// Run implements analysis.Analyzer.
-func (es *Epochsafe) Run(pass *analysis.Pass) error {
-	if !es.scope[pass.Pkg.Path] {
+// Directive implements analysis.Claimer.
+func (*Epochsafe) Directive() string { return "pagewrite" }
+
+// Run implements analysis.Analyzer. The builtin append never matches (it is
+// an *ast.Ident, not a selector).
+func (*Epochsafe) Run(pass *analysis.Pass) error {
+	if pass.Pkg.Path != epochsafePkg {
 		return nil
 	}
-
-	// Collect every WritePage/Append method call, attributed to its
-	// enclosing declared function. The builtin append never matches (it is
-	// an *ast.Ident, not a selector), and selector calls are method calls by
-	// construction here.
-	type site struct {
-		fn  string
-		pos token.Pos
-		sel string
-	}
-	var sites []site
-	declared := map[string]bool{}
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declared[fd.Name.Name] = true
-			if fd.Body == nil {
+			if !ok || fd.Body == nil || analysis.HasDirective(fd, "pagewrite") {
 				continue
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if name := sel.Sel.Name; name == "WritePage" || name == "Append" || name == "WriteExtent" || name == "AppendExtent" {
-					sites = append(sites, site{fn: fd.Name.Name, pos: call.Pos(), sel: name})
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && pageWrites[sel.Sel.Name] {
+						pass.Reportf(call.Pos(), "%s calls %s outside the audited swap sites; published pages are immutable — route the write through a //rased:pagewrite function", fd.Name.Name, sel.Sel.Name)
+					}
 				}
 				return true
 			})
 		}
 	}
-	if len(sites) == 0 {
-		return nil
-	}
-	pkgPos := pass.Pkg.Files[0].Name.Pos()
-
-	path := filepath.Join(pass.Pkg.Dir, epochRegFile)
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		pass.Reportf(pkgPos, "package writes cube pages but has no %s registry; declare EpochSwapSites for the audited swap sites", epochRegFile)
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if !strings.Contains(string(raw), "//go:build epochreg") {
-		pass.Reportf(pkgPos, "%s must carry the epochreg build tag so the registry never ships in production builds", epochRegFile)
-	}
-	registered, err := parseEpochRegistry(path, raw)
-	if err != nil {
-		return err
-	}
-	if registered == nil {
-		pass.Reportf(pkgPos, "%s declares no EpochSwapSites []string registry", epochRegFile)
-		return nil
-	}
-	for _, s := range sites {
-		if !registered[s.fn] {
-			pass.Reportf(s.pos, "%s calls %s outside the audited swap sites; published pages are immutable — route the write through a function registered in EpochSwapSites (%s)", s.fn, s.sel, epochRegFile)
-		}
-	}
-	for name := range registered {
-		if !declared[name] {
-			pass.Reportf(pkgPos, "EpochSwapSites entry %q matches no function in the package", name)
-		}
-	}
 	return nil
-}
-
-// parseEpochRegistry extracts the EpochSwapSites string set from the raw
-// registry source (parsed with its own FileSet: the file is excluded from the
-// loaded package by its build tag).
-func parseEpochRegistry(path string, raw []byte) (map[string]bool, error) {
-	f, err := parser.ParseFile(token.NewFileSet(), path, raw, parser.SkipObjectResolution)
-	if err != nil {
-		return nil, err
-	}
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.VAR {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for i, name := range vs.Names {
-				if name.Name != "EpochSwapSites" || i >= len(vs.Values) {
-					continue
-				}
-				cl, ok := vs.Values[i].(*ast.CompositeLit)
-				if !ok {
-					continue
-				}
-				out := map[string]bool{}
-				for _, elt := range cl.Elts {
-					lit, ok := elt.(*ast.BasicLit)
-					if !ok || lit.Kind != token.STRING {
-						continue
-					}
-					if s, err := strconv.Unquote(lit.Value); err == nil {
-						out[s] = true
-					}
-				}
-				return out, nil
-			}
-		}
-	}
-	return nil, nil
 }

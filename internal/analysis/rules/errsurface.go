@@ -3,6 +3,7 @@ package rules
 import (
 	"fmt"
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
@@ -16,16 +17,11 @@ import (
 // errSurfaceRegFile is the per-package registry opting a package into the
 // exact-or-typed error contract. It carries the errsurfacereg build tag so it
 // never ships in production builds; the analyzer reads it from the package
-// directory. Three []string vars:
-//
-//	ErrSurfaceAllowed  qualified names ("pkgpath.Name") of the sentinels and
-//	                   error types this package may wrap or construct —
-//	                   the registered error vocabulary of the surface
-//	ErrSurfaceFuncs    extra surface roots by declaration name ("Func",
-//	                   "(*T).Method"), beyond the auto-detected HTTP handlers
-//	ErrSurfaceSinks    functions taking an explicit status/code next to the
-//	                   error; an error born directly in their argument list
-//	                   is already mapped and exempt
+// directory. Its one []string var, ErrSurfaceAllowed, lists the qualified
+// names ("pkgpath.Name") of the sentinels and error types this package may
+// wrap or construct — the registered error vocabulary of the surface. The
+// entries name other packages' declarations, so unlike the other rules'
+// marks they cannot be a directive on the declaration itself.
 const errSurfaceRegFile = "errsurface_reg.go"
 
 // ErrSurface statically verifies PR 5's exact-or-typed error contract on the
@@ -36,10 +32,9 @@ const errSurfaceRegFile = "errsurface_reg.go"
 //
 // The check is interprocedural and function-granular: surface roots are the
 // handler-shaped functions (an http.ResponseWriter and an *http.Request in
-// the signature) plus the registry's ErrSurfaceFuncs; any function in a
-// registered package reachable from a root through the call graph (interface
-// dispatch included) is on the surface, and inside those the analyzer flags
-// the places untyped errors are born:
+// the signature); any function in a registered package reachable from a root
+// through the call graph (interface dispatch included) is on the surface, and
+// inside those the analyzer flags the places untyped errors are born:
 //
 //   - errors.New(...) in a function body;
 //   - fmt.Errorf without a %w verb;
@@ -48,26 +43,19 @@ const errSurfaceRegFile = "errsurface_reg.go"
 //   - composite literals of error-implementing types not registered in
 //     ErrSurfaceAllowed.
 //
-// Errors built directly in the argument list of a registered sink
+// Errors built directly in the argument list of a //rased:errsink function
 // (writeErr-style functions that take the HTTP status or wire code
 // explicitly) are exempt: the mapping the contract wants is right there.
 // Propagation is never flagged — wrapping a local error value with %w moves
 // responsibility to that error's own origin.
 type ErrSurface struct {
-	prog *analysis.Program
-	pkgs []*analysis.Package
-	regs map[*analysis.Package]*errSurfaceReg
-}
-
-type errSurfaceReg struct {
-	allowed map[string]bool
-	funcs   map[string]bool
-	sinks   map[string]bool
+	prog    *analysis.Program
+	allowed map[*analysis.Package]map[string]bool // registered packages
 }
 
 // NewErrSurface returns the errsurface analyzer.
 func NewErrSurface() *ErrSurface {
-	return &ErrSurface{regs: map[*analysis.Package]*errSurfaceReg{}}
+	return &ErrSurface{allowed: map[*analysis.Package]map[string]bool{}}
 }
 
 // Name implements analysis.Analyzer.
@@ -77,6 +65,9 @@ func (*ErrSurface) Name() string { return "errsurface" }
 func (*ErrSurface) Doc() string {
 	return "errors escaping a registered error surface (server handlers, cluster wire) must be or wrap a sentinel/type registered in the package's errsurface_reg.go"
 }
+
+// Directive implements analysis.Claimer.
+func (*ErrSurface) Directive() string { return "errsink" }
 
 // Run parses the package's registry when one exists; the whole-program work
 // happens in Finish.
@@ -94,60 +85,81 @@ func (es *ErrSurface) Run(pass *analysis.Pass) error {
 	if !strings.Contains(string(raw), "//go:build errsurfacereg") {
 		pass.Reportf(pkgPos, "%s must carry the errsurfacereg build tag so the registry never ships in production builds", errSurfaceRegFile)
 	}
-	reg := &errSurfaceReg{}
-	if reg.allowed, err = parseStringSetVar(path, raw, "ErrSurfaceAllowed"); err != nil {
+	allowed, err := parseAllowed(path, raw)
+	if err != nil {
 		return err
 	}
-	if reg.allowed == nil {
+	if allowed == nil {
 		pass.Reportf(pkgPos, "%s declares no ErrSurfaceAllowed []string registry", errSurfaceRegFile)
-		reg.allowed = map[string]bool{}
+		allowed = map[string]bool{}
 	}
-	if reg.funcs, err = parseStringSetVar(path, raw, "ErrSurfaceFuncs"); err != nil {
-		return err
-	}
-	if reg.sinks, err = parseStringSetVar(path, raw, "ErrSurfaceSinks"); err != nil {
-		return err
-	}
-	es.pkgs = append(es.pkgs, pass.Pkg)
-	es.regs[pass.Pkg] = reg
+	es.allowed[pass.Pkg] = allowed
 	return nil
+}
+
+// parseAllowed extracts the ErrSurfaceAllowed string set from the raw
+// registry source (parsed with its own FileSet: the file is excluded from the
+// loaded package by its build tag). Returns nil when the variable is absent.
+func parseAllowed(path string, raw []byte) (map[string]bool, error) {
+	f, err := parser.ParseFile(token.NewFileSet(), path, raw, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.VAR {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs, ok := spec.(*ast.ValueSpec)
+			if !ok {
+				continue
+			}
+			for i, name := range vs.Names {
+				if name.Name != "ErrSurfaceAllowed" || i >= len(vs.Values) {
+					continue
+				}
+				cl, ok := vs.Values[i].(*ast.CompositeLit)
+				if !ok {
+					continue
+				}
+				out := map[string]bool{}
+				for _, elt := range cl.Elts {
+					lit, ok := elt.(*ast.BasicLit)
+					if !ok || lit.Kind != token.STRING {
+						continue
+					}
+					if s, err := strconv.Unquote(lit.Value); err == nil {
+						out[s] = true
+					}
+				}
+				return out, nil
+			}
+		}
+	}
+	return nil, nil
 }
 
 // Finish resolves the surface roots, walks the call graph, and flags untyped
 // error origins in registered packages reachable from a root.
 func (es *ErrSurface) Finish(r *analysis.Reporter) error {
-	if es.prog == nil || len(es.pkgs) == 0 {
+	if es.prog == nil || len(es.allowed) == 0 {
 		return nil
 	}
-	var roots []*analysis.FuncNode
-	rootOf := map[*analysis.FuncNode]*analysis.FuncNode{} // node -> witness root
-	for _, pkg := range es.pkgs {
-		reg := es.regs[pkg]
-		pkgPos := pkg.Files[0].Name.Pos()
-		es.checkAllowedEntries(r, pkg, reg, pkgPos)
-		seen := map[string]bool{}
-		for _, n := range es.prog.Nodes() {
-			if n.Pkg == pkg && (isHandlerShaped(n.Fn) || reg.funcs[n.DeclName()]) {
-				roots = append(roots, n)
-				rootOf[n] = n
-				seen[n.DeclName()] = true
-			}
-		}
-		for name := range reg.funcs {
-			if !seen[name] {
-				r.Reportf(pkgPos, "ErrSurfaceFuncs entry %q matches no function in the package", name)
-			}
-		}
-		for name := range reg.sinks {
-			if es.prog.NodeByDeclName(pkg, name) == nil {
-				r.Reportf(pkgPos, "ErrSurfaceSinks entry %q matches no function in the package", name)
-			}
-		}
+	for pkg := range es.allowed {
+		es.checkAllowedEntries(r, pkg)
 	}
 
-	// BFS with parent tracking so every finding can name the surface root it
-	// is reachable from.
-	queue := append([]*analysis.FuncNode(nil), roots...)
+	// BFS from the handler roots with parent tracking so every finding can
+	// name the surface root it is reachable from.
+	var queue []*analysis.FuncNode
+	rootOf := map[*analysis.FuncNode]*analysis.FuncNode{} // node -> witness root
+	for _, n := range es.prog.Nodes() {
+		if es.allowed[n.Pkg] != nil && isHandlerShaped(n.Fn) {
+			queue = append(queue, n)
+			rootOf[n] = n
+		}
+	}
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
@@ -162,29 +174,41 @@ func (es *ErrSurface) Finish(r *analysis.Reporter) error {
 	}
 
 	for _, n := range es.prog.Nodes() {
-		reg := es.regs[n.Pkg]
+		allowed := es.allowed[n.Pkg]
 		root, reachable := rootOf[n]
-		if reg == nil || !reachable {
+		if allowed == nil || !reachable {
 			continue
 		}
-		if root != n && !funcReturnsError(n.Pkg.Info, n.Decl) {
+		if root != n && !returnsError(n.Fn) {
 			continue
 		}
-		es.checkOrigins(r, n, reg, root)
+		es.checkOrigins(r, n, allowed, root)
 	}
 	return nil
+}
+
+// returnsError reports whether any result of fn is the builtin error.
+func returnsError(fn *types.Func) bool {
+	results := fn.Type().(*types.Signature).Results()
+	for i := 0; i < results.Len(); i++ {
+		if types.Identical(results.At(i).Type(), types.Universe.Lookup("error").Type()) {
+			return true
+		}
+	}
+	return false
 }
 
 // checkAllowedEntries validates the registry's error vocabulary: every entry
 // naming a module package must resolve to an error sentinel var or an
 // error-implementing type there. Entries pointing outside the loaded program
 // (stdlib sentinels like context.Canceled) are accepted as written.
-func (es *ErrSurface) checkAllowedEntries(r *analysis.Reporter, pkg *analysis.Package, reg *errSurfaceReg, pkgPos token.Pos) {
+func (es *ErrSurface) checkAllowedEntries(r *analysis.Reporter, pkg *analysis.Package) {
+	pkgPos := pkg.Files[0].Name.Pos()
 	byPath := map[string]*analysis.Package{}
 	for _, p := range es.prog.Pkgs {
 		byPath[p.Path] = p
 	}
-	for entry := range reg.allowed {
+	for entry := range es.allowed[pkg] {
 		dot := strings.LastIndex(entry, ".")
 		if dot < 0 {
 			r.Reportf(pkgPos, "ErrSurfaceAllowed entry %q is not a qualified pkgpath.Name", entry)
@@ -212,7 +236,7 @@ func (es *ErrSurface) checkAllowedEntries(r *analysis.Reporter, pkg *analysis.Pa
 }
 
 // checkOrigins walks one on-surface function flagging untyped error births.
-func (es *ErrSurface) checkOrigins(r *analysis.Reporter, n *analysis.FuncNode, reg *errSurfaceReg, root *analysis.FuncNode) {
+func (es *ErrSurface) checkOrigins(r *analysis.Reporter, n *analysis.FuncNode, allowed map[string]bool, root *analysis.FuncNode) {
 	info := n.Pkg.Info
 	where := fmt.Sprintf("on the %s error surface (reachable from %s)", n.Pkg.Types.Name(), root.Name())
 	sinkArgs := map[ast.Node]bool{}
@@ -222,24 +246,24 @@ func (es *ErrSurface) checkOrigins(r *analysis.Reporter, n *analysis.FuncNode, r
 		}
 		switch node := node.(type) {
 		case *ast.CallExpr:
-			if fn := calleeFunc(info, node); fn != nil {
-				if fnode := es.prog.Node(fn); fnode != nil && fnode.Pkg == n.Pkg && reg.sinks[fnode.DeclName()] {
+			if fn := analysis.Callee(info, node); fn != nil {
+				if fnode := es.prog.Node(fn); fnode != nil && fnode.Pkg == n.Pkg && analysis.HasDirective(fnode.Decl, "errsink") {
 					for _, arg := range node.Args {
 						sinkArgs[arg] = true
 					}
 					return true
 				}
-				es.checkErrorCall(r, info, node, fn, reg, where)
+				checkErrorCall(r, info, node, fn, allowed, where)
 			}
 		case *ast.CompositeLit:
-			es.checkConstruction(r, info, node, reg, where)
+			checkConstruction(r, info, node, allowed, where)
 		}
 		return true
 	})
 }
 
 // checkErrorCall classifies errors.New and fmt.Errorf call sites.
-func (es *ErrSurface) checkErrorCall(r *analysis.Reporter, info *types.Info, call *ast.CallExpr, fn *types.Func, reg *errSurfaceReg, where string) {
+func checkErrorCall(r *analysis.Reporter, info *types.Info, call *ast.CallExpr, fn *types.Func, allowed map[string]bool, where string) {
 	switch {
 	case pkgPath(fn) == "errors" && fn.Name() == "New":
 		r.Reportf(call.Pos(), "errors.New creates an untyped error %s; return a sentinel registered in ErrSurfaceAllowed or wrap one with fmt.Errorf(...%%w...)", where)
@@ -247,7 +271,7 @@ func (es *ErrSurface) checkErrorCall(r *analysis.Reporter, info *types.Info, cal
 		if len(call.Args) == 0 {
 			return
 		}
-		format, ok := stringLit(call.Args[0])
+		format, ok := constString(info, call.Args[0])
 		if !ok {
 			// A non-constant format cannot be verified statically; treat it
 			// as untyped so it cannot hide an unregistered escape.
@@ -260,7 +284,7 @@ func (es *ErrSurface) checkErrorCall(r *analysis.Reporter, info *types.Info, cal
 		}
 		for _, arg := range call.Args[1:] {
 			if v := packageSentinel(info, arg); v != nil {
-				if q := qualifiedName(v); !reg.allowed[q] {
+				if q := qualifiedName(v); !allowed[q] {
 					r.Reportf(arg.Pos(), "wrapping unregistered sentinel %s %s; register it in ErrSurfaceAllowed or wrap a registered one", q, where)
 				}
 			}
@@ -269,7 +293,7 @@ func (es *ErrSurface) checkErrorCall(r *analysis.Reporter, info *types.Info, cal
 }
 
 // checkConstruction flags composite literals of unregistered error types.
-func (es *ErrSurface) checkConstruction(r *analysis.Reporter, info *types.Info, lit *ast.CompositeLit, reg *errSurfaceReg, where string) {
+func checkConstruction(r *analysis.Reporter, info *types.Info, lit *ast.CompositeLit, allowed map[string]bool, where string) {
 	tv, ok := info.Types[lit]
 	if !ok {
 		return
@@ -278,7 +302,7 @@ func (es *ErrSurface) checkConstruction(r *analysis.Reporter, info *types.Info, 
 	if named == nil || !implementsError(named) {
 		return
 	}
-	if q := qualifiedName(named.Obj()); !reg.allowed[q] {
+	if q := qualifiedName(named.Obj()); !allowed[q] {
 		r.Reportf(lit.Pos(), "construction of unregistered error type %s %s; register it in ErrSurfaceAllowed so callers can dispatch on it", q, where)
 	}
 }
@@ -318,16 +342,6 @@ func qualifiedName(obj types.Object) string {
 		return obj.Name()
 	}
 	return obj.Pkg().Path() + "." + obj.Name()
-}
-
-// stringLit extracts a constant string literal value.
-func stringLit(e ast.Expr) (string, bool) {
-	lit, ok := ast.Unparen(e).(*ast.BasicLit)
-	if !ok || lit.Kind != token.STRING {
-		return "", false
-	}
-	s, err := strconv.Unquote(lit.Value)
-	return s, err == nil
 }
 
 // isHandlerShaped reports whether fn's parameters include an

@@ -2,7 +2,6 @@ package rules
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 	"strings"
 
@@ -36,16 +35,13 @@ func (e *ErrWrap) Run(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			fn := calleeFunc(info, call)
+			fn := analysis.Callee(info, call)
 			if fn == nil || pkgPath(fn) != "fmt" || fn.Name() != "Errorf" || len(call.Args) < 2 {
 				return true
 			}
-			ftv, ok := info.Types[call.Args[0]]
-			if !ok || ftv.Value == nil || ftv.Value.Kind() != constant.String {
-				return true // non-constant format: nothing to check statically
-			}
-			if strings.Contains(constant.StringVal(ftv.Value), "%w") {
-				return true
+			format, ok := constString(info, call.Args[0])
+			if !ok || strings.Contains(format, "%w") {
+				return true // a non-constant format cannot be checked statically
 			}
 			for _, arg := range call.Args[1:] {
 				tv, ok := info.Types[arg]

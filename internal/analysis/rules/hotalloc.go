@@ -2,7 +2,7 @@ package rules
 
 import (
 	"fmt"
-	"os"
+	"go/ast"
 	"os/exec"
 	"path/filepath"
 	"strconv"
@@ -11,26 +11,20 @@ import (
 	"rased/internal/analysis"
 )
 
-// hotallocRegFile is the per-package registry pinning PR 4's zero-allocation
-// contract: the functions named in HotPathFuncs (declaration names, "Func" or
-// "(*T).Method") are the benchmark-verified hot paths that must not allocate
-// per call. It carries the hotallocreg build tag so it never ships in
-// production builds; the analyzer parses it from the package directory.
-const hotallocRegFile = "hotalloc_reg.go"
-
 // HotAlloc re-verifies the zero-allocation contract on every lint run by
-// asking the compiler instead of a benchmark: it runs `go build -gcflags=-m`
-// on each package that declares a hotalloc_reg.go registry and diffs the
-// escape-analysis diagnostics against the registered functions' line ranges.
-// An allocation-class diagnostic (a value moved to heap, or a make/new/
-// composite-literal/map/closure/string-conversion escaping) inside a
-// registered function fails the lint — the allocation a benchmark would
-// catch as allocs/op > 0, caught at build time.
+// asking the compiler instead of a benchmark. A function marked
+// //rased:hotpath in its doc comment is a benchmark-verified hot path that
+// must not allocate per call; for each package holding one, the rule runs
+// `go build -gcflags=-m` and diffs the escape-analysis diagnostics against
+// the marked functions' line ranges. An allocation-class diagnostic (a value
+// moved to heap, or a make/new/composite-literal/map/closure/string-
+// conversion escaping) inside a marked function fails the lint — the
+// allocation a benchmark would catch as allocs/op > 0, caught at build time.
 //
 // Interface boxing of fmt arguments ("... argument escapes to heap" and
 // bare identifiers escaping at a call site) is not counted: the repo's hot
 // functions keep fmt on error paths only, and boxing diagnostics would
-// otherwise drown the signal the registry exists for.
+// otherwise drown the signal the directive exists for.
 //
 // The diagnostics come from the build cache when nothing changed, so the
 // per-package build adds milliseconds, not a full compile, to lint runs.
@@ -44,48 +38,28 @@ func (*HotAlloc) Name() string { return "hotalloc" }
 
 // Doc implements analysis.Analyzer.
 func (*HotAlloc) Doc() string {
-	return "functions registered in hotalloc_reg.go (the zero-alloc hot paths) must produce no allocation-class escape diagnostics under go build -gcflags=-m"
+	return "//rased:hotpath functions (the zero-alloc hot paths) must produce no allocation-class escape diagnostics under go build -gcflags=-m"
 }
+
+// Directive implements analysis.Claimer.
+func (*HotAlloc) Directive() string { return "hotpath" }
 
 // Run implements analysis.Analyzer.
 func (h *HotAlloc) Run(pass *analysis.Pass) error {
-	path := filepath.Join(pass.Pkg.Dir, hotallocRegFile)
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	pkgPos := pass.Pkg.Files[0].Name.Pos()
-	if !strings.Contains(string(raw), "//go:build hotallocreg") {
-		pass.Reportf(pkgPos, "%s must carry the hotallocreg build tag so the registry never ships in production builds", hotallocRegFile)
-	}
-	registered, err := parseStringSetVar(path, raw, "HotPathFuncs")
-	if err != nil {
-		return err
-	}
-	if registered == nil {
-		pass.Reportf(pkgPos, "%s declares no HotPathFuncs []string registry", hotallocRegFile)
-		return nil
-	}
-
-	// Resolve each registered name to its declaration's file and line range.
+	// The marked declarations' file and line ranges.
 	type span struct {
 		name       string
 		file       string
 		start, end int
 	}
 	var spans []span
-	for name := range registered {
-		node := pass.Prog.NodeByDeclName(pass.Pkg, name)
-		if node == nil {
-			pass.Reportf(pkgPos, "HotPathFuncs entry %q matches no function in the package", name)
-			continue
+	for _, f := range pass.Pkg.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && analysis.HasDirective(fd, "hotpath") {
+				from, to := pass.Position(fd.Pos()), pass.Position(fd.End())
+				spans = append(spans, span{name: fd.Name.Name, file: from.Filename, start: from.Line, end: to.Line})
+			}
 		}
-		from := pass.Position(node.Decl.Pos())
-		to := pass.Position(node.Decl.End())
-		spans = append(spans, span{name: name, file: from.Filename, start: from.Line, end: to.Line})
 	}
 	if len(spans) == 0 {
 		return nil
@@ -109,9 +83,9 @@ func (h *HotAlloc) Run(pass *analysis.Pass) error {
 			}
 			pos := pass.PosFor(abs, d.line, d.col)
 			if !pos.IsValid() {
-				pos = pkgPos
+				pos = pass.Pkg.Files[0].Name.Pos()
 			}
-			pass.Reportf(pos, "%s is a registered zero-alloc hot path but the compiler reports %q; hoist the allocation or de-register the function with a benchmark justifying it", sp.name, d.msg)
+			pass.Reportf(pos, "%s is a //rased:hotpath zero-alloc function but the compiler reports %q; hoist the allocation or drop the directive with a benchmark justifying it", sp.name, d.msg)
 			break
 		}
 	}

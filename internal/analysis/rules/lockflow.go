@@ -8,14 +8,12 @@ import (
 	"rased/internal/analysis"
 )
 
-// This file is the flow-sensitive mutex walker shared by lockio (direct
-// blocking operations under a held lock) and lockorder (whole-program lock
-// acquisition order and lock-held call sites). The walker threads a held-lock
-// set through each function body — branches merge conservatively, a deferred
-// Unlock keeps the mutex held to the end of the function, goroutine and
-// function-literal bodies get their own empty state — and emits events; the
-// two rules differ only in the events they consume and in how they key locks
-// (lockio by source rendering, per function; lockorder by global identity).
+// This file is lockorder's flow-sensitive mutex walker. It threads a
+// held-lock set, keyed by global lock class (lockKey), through each function
+// body — branches merge conservatively, a deferred Unlock keeps the mutex
+// held to the end of the function, goroutine and function-literal bodies get
+// their own empty state — and emits events at acquisitions, calls, and
+// channel sends.
 
 // lockSet maps a lock key to the position of the Lock call that acquired it.
 type lockSet map[string]token.Pos
@@ -39,20 +37,6 @@ func (s lockSet) anyHeld() string {
 	return best
 }
 
-// keys returns the held keys in sorted order.
-func (s lockSet) keys() []string {
-	out := make([]string, 0, len(s))
-	for k := range s {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 func union(dst lockSet, srcs ...lockSet) lockSet {
 	for _, src := range srcs {
 		for k, v := range src {
@@ -64,12 +48,12 @@ func union(dst lockSet, srcs ...lockSet) lockSet {
 	return dst
 }
 
-// lockEvents are the walker's callbacks. Any may be nil.
+// lockEvents are the walker's callbacks.
 type lockEvents struct {
-	// onLock fires at a Lock/RLock call site, with the held set as it was
-	// BEFORE this acquisition (the order edge source) and the owner
-	// expression of the mutex being taken.
-	onLock func(call *ast.CallExpr, owner ast.Expr, read bool, held lockSet)
+	// onLock fires at a Lock/RLock call site, with the class of the mutex
+	// being taken and the held set as it was BEFORE this acquisition (the
+	// order edge source).
+	onLock func(call *ast.CallExpr, key string, held lockSet)
 	// onCall fires for every executed call expression that is not a
 	// Lock/Unlock, with the current held set.
 	onCall func(call *ast.CallExpr, held lockSet)
@@ -80,8 +64,7 @@ type lockEvents struct {
 // lockFlow walks one function declaration (and the function literals inside
 // it, each with fresh empty state).
 type lockFlow struct {
-	pkg     *analysis.Package
-	key     func(owner ast.Expr) string // lock identity for the held set
+	node    *analysis.FuncNode
 	ev      lockEvents
 	pending []*ast.BlockStmt // function-literal bodies awaiting their own walk
 }
@@ -153,7 +136,7 @@ func (w *lockFlow) walkStmt(s ast.Stmt, held lockSet) (lockSet, bool) {
 		// A deferred Unlock runs at function exit: the mutex stays held for
 		// the remainder of the walk. Other deferred calls are not executed
 		// here; only their argument expressions are evaluated now.
-		if kind, _, _ := w.classifyLock(s.Call); kind != opNone {
+		if kind, _ := w.classifyLock(s.Call); kind != opNone {
 			return held, false
 		}
 		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
@@ -228,22 +211,22 @@ const (
 // classifyLock recognizes sync mutex Lock/Unlock calls (including
 // RLock/RUnlock) without touching the held state, returning the mutex's
 // owner expression (the receiver of the Lock call).
-func (w *lockFlow) classifyLock(call *ast.CallExpr) (kind lockOpKind, owner ast.Expr, read bool) {
+func (w *lockFlow) classifyLock(call *ast.CallExpr) (kind lockOpKind, owner ast.Expr) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return opNone, nil, false
+		return opNone, nil
 	}
-	fn, ok := w.pkg.Info.Uses[sel.Sel].(*types.Func)
+	fn, ok := w.node.Pkg.Info.Uses[sel.Sel].(*types.Func)
 	if !ok || pkgPath(fn) != "sync" {
-		return opNone, nil, false
+		return opNone, nil
 	}
 	switch fn.Name() {
 	case "Lock", "RLock":
-		return opLock, sel.X, fn.Name() == "RLock"
+		return opLock, sel.X
 	case "Unlock", "RUnlock":
-		return opUnlock, sel.X, fn.Name() == "RUnlock"
+		return opUnlock, sel.X
 	}
-	return opNone, nil, false
+	return opNone, nil
 }
 
 // scan inspects one leaf statement or expression in source order, applying
@@ -259,24 +242,19 @@ func (w *lockFlow) scan(n ast.Node, held lockSet) {
 			w.pending = append(w.pending, n.Body)
 			return false
 		case *ast.SendStmt:
-			if w.ev.onSend != nil {
-				w.ev.onSend(n.Arrow, held)
-			}
+			w.ev.onSend(n.Arrow, held)
 		case *ast.CallExpr:
-			switch kind, owner, read := w.classifyLock(n); kind {
+			switch kind, owner := w.classifyLock(n); kind {
 			case opLock:
-				if w.ev.onLock != nil {
-					w.ev.onLock(n, owner, read, held)
-				}
-				held[w.key(owner)] = n.Pos()
+				key := lockKey(w.node, owner)
+				w.ev.onLock(n, key, held)
+				held[key] = n.Pos()
 				return true
 			case opUnlock:
-				delete(held, w.key(owner))
+				delete(held, lockKey(w.node, owner))
 				return true
 			}
-			if w.ev.onCall != nil {
-				w.ev.onCall(n, held)
-			}
+			w.ev.onCall(n, held)
 		}
 		return true
 	})

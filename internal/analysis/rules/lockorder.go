@@ -11,8 +11,10 @@ import (
 	"rased/internal/analysis"
 )
 
-// LockOrder is the interprocedural generalization of lockio: a whole-program
-// analysis over every sync.Mutex/RWMutex in the module.
+// LockOrder is a whole-program analysis over every sync.Mutex/RWMutex in the
+// module: nothing slow or blocking may run between a Lock() and its
+// Unlock(), directly or through any call chain, and locks nest in one global
+// order.
 //
 // Lock identity is the lock *class*: a struct field ("pkg.Type.mu"), a
 // package-level var ("pkg.mu"), an embedded mutex ("pkg.Type"), or — for
@@ -20,22 +22,27 @@ import (
 // instances of the same class share a key, the standard conservative choice
 // for order analysis.
 //
-// Two findings are produced from per-function summaries computed bottom-up
-// over the call-graph SCCs (analysis.Program):
+// Three findings are produced. The first comes from the flow-sensitive walk
+// of each function (lockflow.go); the other two from per-function summaries
+// computed bottom-up over the call-graph SCCs (analysis.Program):
 //
-//  1. lock-order cycles: every acquisition of lock B while lock A is held —
+//  1. direct blocking under a held lock: a blockingCall (time.Sleep, os
+//     file I/O, an os.File I/O method, an outbound net/http call) or a
+//     channel send (including a select send case) while any mutex is held
+//     — the rule that caught an fsync under the pagestore allocation mutex.
+//
+//  2. lock-order cycles: every acquisition of lock B while lock A is held —
 //     directly, or anywhere in the transitive call tree below a call made
 //     with A held — is an order edge A→B. A cycle in the global edge graph
 //     (including a self-edge: re-acquiring the same class while holding it)
 //     means two executions can take the locks in opposite orders: a
 //     potential deadlock, reported once per cycle with the witness edges.
 //
-//  2. lock-held blocking reach: a call made while a lock is held whose
+//  3. lock-held blocking reach: a call made while a lock is held whose
 //     callee — transitively, through any chain including interface dispatch
-//     — reaches a blocking operation (disk I/O, time.Sleep, a channel
-//     operation, a select without default, or an outbound http RPC). This is
-//     lockio's invariant extended across function boundaries; the report
-//     carries the witness chain.
+//     — reaches a blocking operation (a blockingCall, a channel operation, or
+//     a select without default). This is finding 1 extended across function
+//     boundaries; the report carries the witness chain.
 //
 // Goroutine bodies spawned with `go` run outside the spawning critical
 // section and are analyzed with their own empty lock state; calls of plain
@@ -54,7 +61,7 @@ func (*LockOrder) Name() string { return "lockorder" }
 
 // Doc implements analysis.Analyzer.
 func (*LockOrder) Doc() string {
-	return "no cycles in the whole-program lock-order graph, and no held lock may transitively reach blocking work (disk I/O, sleeps, channel ops, outbound RPCs) through any call chain"
+	return "no blocking call or channel send while a mutex is held, no cycles in the whole-program lock-order graph, and no held lock may transitively reach blocking work (disk I/O, sleeps, channel ops, outbound RPCs) through any call chain"
 }
 
 // Run implements analysis.Analyzer: it only records the shared program; the
@@ -76,7 +83,6 @@ type blockWitness struct {
 // lockAcqFact is one Lock/RLock call site with the lock set held on entry.
 type lockAcqFact struct {
 	key  string
-	read bool
 	pos  token.Pos
 	held lockSet
 }
@@ -103,8 +109,8 @@ type orderEdge struct {
 	via      string    // "" for a direct nested acquisition, else the callee
 }
 
-// Finish implements analysis.Finisher: computes summaries bottom-up and
-// reports cycles and lock-held blocking reach.
+// Finish implements analysis.Finisher: walks every function, computes
+// summaries bottom-up, and reports cycles and lock-held blocking reach.
 func (lo *LockOrder) Finish(r *analysis.Reporter) error {
 	if lo.prog == nil {
 		return nil
@@ -113,7 +119,7 @@ func (lo *LockOrder) Finish(r *analysis.Reporter) error {
 	facts := make(map[*analysis.FuncNode]*lockFacts, len(prog.Nodes()))
 	for _, n := range prog.Nodes() {
 		if lo.pkgs[n.Pkg] {
-			facts[n] = lo.collect(n)
+			facts[n] = lo.collect(n, r)
 		} else {
 			facts[n] = &lockFacts{}
 		}
@@ -351,22 +357,24 @@ func stringSCCs(keys []string, succ map[string][]string) [][]string {
 	return out
 }
 
-// collect runs the flow-sensitive walker over one declaration, recording
-// acquisitions, calls under held locks, and direct blocking operations.
-func (lo *LockOrder) collect(n *analysis.FuncNode) *lockFacts {
+// collect runs the flow-sensitive walker over one declaration, reporting
+// direct blocking under a held lock and recording acquisitions, calls under
+// held locks, and direct blocking operations.
+func (lo *LockOrder) collect(n *analysis.FuncNode, r *analysis.Reporter) *lockFacts {
 	f := &lockFacts{}
 	pkg := n.Pkg
 	w := &lockFlow{
-		pkg: pkg,
-		key: func(owner ast.Expr) string { return lo.lockKey(pkg, n, owner) },
+		node: n,
 		ev: lockEvents{
-			onLock: func(call *ast.CallExpr, owner ast.Expr, read bool, held lockSet) {
-				f.acquires = append(f.acquires, lockAcqFact{
-					key: lo.lockKey(pkg, n, owner), read: read,
-					pos: call.Pos(), held: held.clone(),
-				})
+			onLock: func(call *ast.CallExpr, key string, held lockSet) {
+				f.acquires = append(f.acquires, lockAcqFact{key: key, pos: call.Pos(), held: held.clone()})
 			},
 			onCall: func(call *ast.CallExpr, held lockSet) {
+				if mu := held.anyHeld(); mu != "" {
+					if desc := blockingCall(pkg.Info, call); desc != "" {
+						r.Reportf(call.Pos(), "%s while %s is held blocks the critical section", desc, mu)
+					}
+				}
 				callees, dynamic := lo.prog.ResolveCall(pkg, call)
 				if len(callees) == 0 && len(held) == 0 {
 					return
@@ -376,6 +384,11 @@ func (lo *LockOrder) collect(n *analysis.FuncNode) *lockFacts {
 					callees: callees, dynamic: dynamic,
 				})
 			},
+			onSend: func(arrow token.Pos, held lockSet) {
+				if mu := held.anyHeld(); mu != "" {
+					r.Reportf(arrow, "channel send while %s is held can block the critical section", mu)
+				}
+			},
 		},
 	}
 	w.walk(n.Decl.Body)
@@ -383,8 +396,10 @@ func (lo *LockOrder) collect(n *analysis.FuncNode) *lockFacts {
 	return f
 }
 
-// lockKey computes the global lock-class key for a mutex owner expression.
-func (lo *LockOrder) lockKey(pkg *analysis.Package, n *analysis.FuncNode, owner ast.Expr) string {
+// lockKey computes the global lock-class key for a mutex owner expression
+// locked inside n.
+func lockKey(n *analysis.FuncNode, owner ast.Expr) string {
+	pkg := n.Pkg
 	switch e := ast.Unparen(owner).(type) {
 	case *ast.SelectorExpr:
 		// Field selection x.mu: key on the field's parent type. The
@@ -491,23 +506,8 @@ func collectBlocking(pkg *analysis.Package, decl *ast.FuncDecl) []blockWitness {
 				}
 			}
 		case *ast.CallExpr:
-			fn := calleeFunc(pkg.Info, call(nd))
-			if fn == nil {
-				return true
-			}
-			sig, _ := fn.Type().(*types.Signature)
-			switch path := pkgPath(fn); {
-			case path == "time" && fn.Name() == "Sleep":
-				add(nd.Pos(), "time.Sleep")
-			case path == "os" && sig != nil && sig.Recv() == nil:
-				add(nd.Pos(), "os."+fn.Name()+" file I/O")
-			case path == "os" && sig != nil && sig.Recv() != nil && osFileIOMethods[fn.Name()]:
-				add(nd.Pos(), "(*os.File)."+fn.Name()+" disk I/O")
-			case path == "net/http":
-				switch fn.Name() {
-				case "Do", "Get", "Post", "PostForm", "Head":
-					add(nd.Pos(), "outbound http RPC (net/http."+fn.Name()+")")
-				}
+			if desc := blockingCall(pkg.Info, nd); desc != "" {
+				add(nd.Pos(), desc)
 			}
 		}
 		return true
@@ -515,6 +515,30 @@ func collectBlocking(pkg *analysis.Package, decl *ast.FuncDecl) []blockWitness {
 	return out
 }
 
-// call is the identity helper keeping the type switch readable.
-func call(c *ast.CallExpr) *ast.CallExpr { return c }
+// osFileIOMethods are the os.File methods that reach the disk.
+var osFileIOMethods = map[string]bool{
+	"ReadAt": true, "WriteAt": true, "Read": true, "Write": true,
+	"Sync": true, "Seek": true, "Truncate": true, "ReadFrom": true,
+}
 
+// blockingCall describes a call that blocks on something outside the
+// process — time.Sleep, an os package function (file I/O), an os.File I/O
+// method, or an outbound net/http call — or returns "" for any other call.
+func blockingCall(info *types.Info, call *ast.CallExpr) string {
+	fn := analysis.Callee(info, call)
+	if fn == nil {
+		return ""
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	switch path := pkgPath(fn); {
+	case path == "time" && fn.Name() == "Sleep":
+		return "time.Sleep"
+	case path == "os" && recv == nil:
+		return "os." + fn.Name() + " file I/O"
+	case path == "os" && osFileIOMethods[fn.Name()]:
+		return "(*os.File)." + fn.Name() + " disk I/O"
+	case isHTTPClient(fn):
+		return "outbound http RPC (net/http." + fn.Name() + ")"
+	}
+	return ""
+}

@@ -81,7 +81,7 @@ func (m *MetricsReg) Run(pass *analysis.Pass) error {
 			stack = append(stack, n)
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				if fn := calleeFunc(info, n); fn != nil {
+				if fn := analysis.Callee(info, n); fn != nil {
 					if fn.Pkg() != nil && fn.Pkg().Name() == "obs" && obsConstructors[fn.Name()] {
 						constructs = append(constructs, n)
 					}
@@ -169,7 +169,7 @@ func bindingName(lhs ast.Expr) string {
 
 // checkConstruct validates one instrument construction site.
 func (m *MetricsReg) checkConstruct(pass *analysis.Pass, call *ast.CallExpr, parents map[ast.Node]ast.Node, exposed map[string]bool) {
-	fn := calleeFunc(pass.Pkg.Info, call)
+	fn := analysis.Callee(pass.Pkg.Info, call)
 	name := constantStringArg(pass, call)
 	if name != "" {
 		if !metricNameRE.MatchString(name) {
@@ -189,7 +189,7 @@ func (m *MetricsReg) checkConstruct(pass *analysis.Pass, call *ast.CallExpr, par
 			pass.Reportf(call.Pos(), "%s result is discarded: the instrument can never be registered", fn.Name())
 			return
 		case *ast.CallExpr:
-			if rf := calleeFunc(pass.Pkg.Info, p); rf != nil && registerFuncs[rf.Name()] {
+			if rf := analysis.Callee(pass.Pkg.Info, p); rf != nil && registerFuncs[rf.Name()] {
 				return // passed straight into Register/MustRegister
 			}
 		case *ast.ReturnStmt:

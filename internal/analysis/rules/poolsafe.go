@@ -215,7 +215,7 @@ func getCall(e ast.Expr) *ast.CallExpr {
 // their implementations are checked here transitively, and their callers
 // follow the donation model documented on those functions.
 func (p *Poolsafe) isPoolGet(info *types.Info, call *ast.CallExpr) bool {
-	fn := calleeFunc(info, call)
+	fn := analysis.Callee(info, call)
 	if fn == nil {
 		return false
 	}

@@ -2,97 +2,60 @@ package rules
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
-	"strconv"
 	"strings"
 
 	"rased/internal/analysis"
 )
 
-// rpcRegFile is the per-package registry declaring which functions issue
-// outbound RPCs under a deadline established by their caller. Like
-// epochsafe_reg.go it is build-tagged out of normal builds (rpcreg) and read
-// straight from the package directory.
-const rpcRegFile = "rpcdeadline_reg.go"
-
-// DefaultRPCDeadlineScope is the package bound by the RPC deadline rule: the
-// cluster tier, whose every outbound call crosses a process boundary.
-var DefaultRPCDeadlineScope = []string{
-	"rased/internal/cluster",
-}
+// rpcdeadlinePkg is the package bound by the RPC deadline rule: the cluster
+// tier, whose every outbound call crosses a process boundary.
+const rpcdeadlinePkg = "rased/internal/cluster"
 
 // RPCDeadline enforces the cluster tier's outbound-call contract: a remote
 // shard can hang, so no RPC may fly without a context deadline, and its
 // failure must stay inspectable, so the raw transport error may not be
-// returned bare. Concretely, for every function in the scoped package that
+// returned bare. Concretely, for every function in internal/cluster that
 // calls an http.Client entry point (Do, Get, Post, PostForm, Head):
 //
 //   - the function must establish a deadline itself (a context.WithTimeout or
-//     context.WithDeadline call in its body) or be declared in the package's
-//     rpcdeadline_reg.go registry (var RPCDeadlineSites), which is the audited
-//     list of functions whose request contexts always arrive with a deadline
-//     already attached;
+//     context.WithDeadline call in its body) or carry //rased:callerdeadline
+//     in its doc comment — the audited claim that its request contexts
+//     always arrive with a deadline already attached;
 //   - the error assigned from such a call must not be returned as-is: wrap it
 //     (fmt.Errorf with %w — the errwrap rule keeps the verb honest) so the
-//     failing shard and endpoint survive into the router's error chain;
-//   - the registry must carry the rpcreg build tag and must not list
-//     functions that no longer exist.
-type RPCDeadline struct {
-	scope map[string]bool
-}
+//     failing shard and endpoint survive into the router's error chain.
+type RPCDeadline struct{}
 
-// NewRPCDeadline returns the rpcdeadline analyzer; with no arguments it
-// checks DefaultRPCDeadlineScope.
-func NewRPCDeadline(scope ...string) *RPCDeadline {
-	if len(scope) == 0 {
-		scope = DefaultRPCDeadlineScope
-	}
-	m := make(map[string]bool, len(scope))
-	for _, p := range scope {
-		m[p] = true
-	}
-	return &RPCDeadline{scope: m}
-}
+// NewRPCDeadline returns the rpcdeadline analyzer.
+func NewRPCDeadline() *RPCDeadline { return &RPCDeadline{} }
 
 // Name implements analysis.Analyzer.
 func (*RPCDeadline) Name() string { return "rpcdeadline" }
 
 // Doc implements analysis.Analyzer.
 func (*RPCDeadline) Doc() string {
-	return "cluster RPCs run under a context deadline (WithTimeout/WithDeadline in the function or an rpcdeadline_reg.go entry) and their transport errors are wrapped, never returned bare"
+	return "cluster RPCs run under a context deadline (WithTimeout/WithDeadline in the function, or //rased:callerdeadline on it) and their transport errors are wrapped, never returned bare"
 }
 
+// Directive implements analysis.Claimer.
+func (*RPCDeadline) Directive() string { return "callerdeadline" }
+
 // Run implements analysis.Analyzer.
-func (rd *RPCDeadline) Run(pass *analysis.Pass) error {
-	if !rd.scope[pass.Pkg.Path] {
+func (*RPCDeadline) Run(pass *analysis.Pass) error {
+	if pass.Pkg.Path != rpcdeadlinePkg {
 		return nil
 	}
-
-	type callerInfo struct {
-		name        string
-		pos         token.Pos // first outbound call
-		hasDeadline bool
-		// bareReturns are `return ..., err` statements returning an error
-		// variable assigned from an outbound call, unwrapped.
-		bareReturns []token.Pos
-	}
-	var callers []callerInfo
-	declared := map[string]bool{}
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
+			if !ok || fd.Body == nil {
 				continue
 			}
-			declared[fd.Name.Name] = true
-			if fd.Body == nil {
-				continue
-			}
-			ci := callerInfo{name: fd.Name.Name}
+			name := fd.Name.Name
+			first := token.NoPos // the first outbound call
+			hasDeadline := analysis.HasDirective(fd, "callerdeadline")
 			// tainted is the set of variables currently holding an outbound
 			// call's raw error (keyed by types object — the parser skips
 			// ast.Object resolution).
@@ -107,10 +70,10 @@ func (rd *RPCDeadline) Run(pass *analysis.Pass) error {
 				switch n := n.(type) {
 				case *ast.CallExpr:
 					if isDeadlineCtor(pass.Pkg, n) {
-						ci.hasDeadline = true
+						hasDeadline = true
 					}
-					if isHTTPClientCall(pass.Pkg, n) && ci.pos == token.NoPos {
-						ci.pos = n.Pos()
+					if isHTTPClientCall(pass.Pkg, n) && first == token.NoPos {
+						first = n.Pos()
 					}
 				case *ast.AssignStmt:
 					// err (re)assigned: taint when the RHS is an outbound
@@ -135,80 +98,49 @@ func (rd *RPCDeadline) Run(pass *analysis.Pass) error {
 					for _, res := range n.Results {
 						if id, ok := res.(*ast.Ident); ok {
 							if obj := identObj(id); obj != nil && tainted[obj] {
-								ci.bareReturns = append(ci.bareReturns, n.Pos())
+								pass.Reportf(n.Pos(), "%s returns an outbound RPC error bare; wrap it with fmt.Errorf(...%%w...) so the failing endpoint survives into the error chain", name)
 							}
 						}
 					}
 				}
 				return true
 			})
-			if ci.pos != token.NoPos {
-				callers = append(callers, ci)
+			if first != token.NoPos && !hasDeadline {
+				pass.Reportf(first, "%s issues an outbound RPC without a context deadline; add context.WithTimeout/WithDeadline, or //rased:callerdeadline when every caller attaches one", name)
 			}
-		}
-	}
-	if len(callers) == 0 {
-		return nil
-	}
-	pkgPos := pass.Pkg.Files[0].Name.Pos()
-
-	registered := map[string]bool{}
-	path := filepath.Join(pass.Pkg.Dir, rpcRegFile)
-	raw, err := os.ReadFile(path)
-	switch {
-	case os.IsNotExist(err):
-		// Absence is fine as long as every caller builds its own deadline;
-		// callers that rely on one from above are reported below.
-	case err != nil:
-		return err
-	default:
-		if !strings.Contains(string(raw), "//go:build rpcreg") {
-			pass.Reportf(pkgPos, "%s must carry the rpcreg build tag so the registry never ships in production builds", rpcRegFile)
-		}
-		registered, err = parseStringSetVar(path, raw, "RPCDeadlineSites")
-		if err != nil {
-			return err
-		}
-		if registered == nil {
-			pass.Reportf(pkgPos, "%s declares no RPCDeadlineSites []string registry", rpcRegFile)
-			registered = map[string]bool{}
-		}
-	}
-
-	for _, ci := range callers {
-		if !ci.hasDeadline && !registered[ci.name] {
-			pass.Reportf(ci.pos, "%s issues an outbound RPC without a context deadline; add context.WithTimeout/WithDeadline or register the function in RPCDeadlineSites (%s)", ci.name, rpcRegFile)
-		}
-		for _, pos := range ci.bareReturns {
-			pass.Reportf(pos, "%s returns an outbound RPC error bare; wrap it with fmt.Errorf(...%%w...) so the failing endpoint survives into the error chain", ci.name)
-		}
-	}
-	for name := range registered {
-		if !declared[name] {
-			pass.Reportf(pkgPos, "RPCDeadlineSites entry %q matches no function in the package", name)
 		}
 	}
 	return nil
 }
 
-// isHTTPClientCall reports whether call invokes a net/http client entry point
-// — an http.Client method or the package-level convenience wrappers.
-func isHTTPClientCall(pkg *analysis.Package, call *ast.CallExpr) bool {
-	fn := calleeFunc(pkg.Info, call)
-	if fn == nil || pkgPath(fn) != "net/http" {
+// httpClientCalls are the net/http client entry points: the http.Client
+// methods and the package-level convenience wrappers.
+var httpClientCalls = map[string]bool{"Do": true, "Get": true, "Post": true, "PostForm": true, "Head": true}
+
+// isHTTPClient reports whether fn is a net/http client entry point — not,
+// say, http.Header.Get.
+func isHTTPClient(fn *types.Func) bool {
+	if pkgPath(fn) != "net/http" || !httpClientCalls[fn.Name()] {
 		return false
 	}
-	switch fn.Name() {
-	case "Do", "Get", "Post", "PostForm", "Head":
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
 		return true
 	}
-	return false
+	p, ok := recv.Type().(*types.Pointer)
+	return ok && isNetHTTPType(p.Elem(), "Client")
+}
+
+// isHTTPClientCall reports whether call invokes a net/http client entry point.
+func isHTTPClientCall(pkg *analysis.Package, call *ast.CallExpr) bool {
+	fn := analysis.Callee(pkg.Info, call)
+	return fn != nil && isHTTPClient(fn)
 }
 
 // isDeadlineCtor reports whether call is context.WithTimeout or
 // context.WithDeadline.
 func isDeadlineCtor(pkg *analysis.Package, call *ast.CallExpr) bool {
-	fn := calleeFunc(pkg.Info, call)
+	fn := analysis.Callee(pkg.Info, call)
 	if fn == nil || pkgPath(fn) != "context" {
 		return false
 	}
@@ -219,48 +151,4 @@ func isDeadlineCtor(pkg *analysis.Package, call *ast.CallExpr) bool {
 func isRHSOutbound(pkg *analysis.Package, rhs ast.Expr) bool {
 	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 	return ok && isHTTPClientCall(pkg, call)
-}
-
-// parseStringSetVar extracts a []string composite literal bound to varName
-// from raw registry source (parsed with its own FileSet: the file is excluded
-// from the loaded package by its build tag). Returns nil when the variable is
-// absent.
-func parseStringSetVar(path string, raw []byte, varName string) (map[string]bool, error) {
-	f, err := parser.ParseFile(token.NewFileSet(), path, raw, parser.SkipObjectResolution)
-	if err != nil {
-		return nil, err
-	}
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.VAR {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for i, name := range vs.Names {
-				if name.Name != varName || i >= len(vs.Values) {
-					continue
-				}
-				cl, ok := vs.Values[i].(*ast.CompositeLit)
-				if !ok {
-					continue
-				}
-				out := map[string]bool{}
-				for _, elt := range cl.Elts {
-					lit, ok := elt.(*ast.BasicLit)
-					if !ok || lit.Kind != token.STRING {
-						continue
-					}
-					if s, err := strconv.Unquote(lit.Value); err == nil {
-						out[s] = true
-					}
-				}
-				return out, nil
-			}
-		}
-	}
-	return nil, nil
 }

@@ -3,9 +3,9 @@
 // machine-checked pass over the type-checked tree:
 //
 //	ctxflow     context flows end-to-end: no context.Background()/TODO()
-//	            outside main/tests/compat shims, and code holding a ctx must
-//	            call the FooCtx/FooContext variant of a callee when one exists
-//	lockio      no disk I/O, sleeps, or channel sends while a mutex is held
+//	            outside main/tests/compat shims, code holding a ctx calls the
+//	            FooCtx/FooContext variant of a callee when one exists, and a
+//	            for loop that sleeps consults ctx.Err()/ctx.Done()
 //	metricsreg  obs instruments use unique constant rased_* names and flow
 //	            into a registry or a wiring accessor
 //	errwrap     fmt.Errorf with an error argument wraps it with %w
@@ -13,33 +13,33 @@
 //	            packages the plan-order merge depends on
 //	poolsafe    values obtained from a sync.Pool or the cube page pool are
 //	            put back, handed off, or returned — never silently dropped
-//	faultpath   storage read paths are registered as fault-exercised in the
-//	            package's faultpath_reg.go (backed by faultstore tests), and
-//	            sleeping retry loops consult ctx.Err()/ctx.Done()
-//	epochsafe   published cube pages are immutable: WritePage/Append on the
-//	            page store is allowed only in the audited swap sites
-//	            registered in the package's epochsafe_reg.go
-//	rpcdeadline cluster RPCs run under a context deadline (or the function is
-//	            registered in the package's rpcdeadline_reg.go) and their
-//	            transport errors are wrapped, never returned bare
-//	lockorder   nested mutex acquisitions — direct or through any call chain —
-//	            form one global lock-order graph; cycles (including a class
-//	            re-acquired while held) and blocking operations reachable
-//	            downstream of a held lock are potential deadlocks
+//	epochsafe   published cube pages are immutable: WritePage/Append/
+//	            WriteExtent/AppendExtent in tindex only in //rased:pagewrite
+//	            functions
+//	rpcdeadline cluster RPCs run under a context deadline (or in a
+//	            //rased:callerdeadline function) and their transport errors
+//	            are wrapped, never returned bare
+//	lockorder   no blocking call or channel send while a mutex is held; nested
+//	            acquisitions — direct or through any call chain — form one
+//	            global lock-order graph whose cycles are potential deadlocks,
+//	            and a held lock must not reach blocking work downstream
 //	errsurface  errors escaping a public server handler or crossing the
 //	            cluster wire must be, or %w-wrap, a sentinel or error type
-//	            registered in the package's errsurface_reg.go
-//	hotalloc    functions registered in hotalloc_reg.go (the zero-alloc hot
-//	            paths) must produce no allocation-class escape diagnostics
-//	            under go build -gcflags=-m
+//	            listed in the package's errsurface_reg.go
+//	hotalloc    //rased:hotpath functions (the zero-alloc hot paths) produce
+//	            no allocation-class escape diagnostics under
+//	            go build -gcflags=-m
 //
 // The last three are interprocedural: they share the whole-program call
 // graph built once per run (analysis.Program) and compute their summaries
-// bottom-up over its SCCs.
+// bottom-up over its SCCs. Four rules read a //rased: directive off function
+// doc comments (analysis.HasDirective); analysis.CheckDirectives rejects a
+// directive no rule reads.
 package rules
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/types"
 
 	"rased/internal/analysis"
@@ -51,34 +51,16 @@ import (
 func All() []analysis.Analyzer {
 	return []analysis.Analyzer{
 		NewCtxflow(),
-		NewLockIO(),
 		NewMetricsReg(),
 		NewErrWrap(),
 		NewDeterminism(DefaultPurePackages...),
 		NewPoolsafe(),
-		NewFaultpath(),
 		NewEpochsafe(),
 		NewRPCDeadline(),
 		NewLockOrder(),
 		NewErrSurface(),
 		NewHotAlloc(),
 	}
-}
-
-// calleeFunc resolves a call expression to the *types.Func it invokes, or nil
-// for conversions, builtins, and calls of plain function-typed values.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
 }
 
 // isContextType reports whether t is context.Context.
@@ -109,4 +91,14 @@ func pkgPath(obj types.Object) string {
 		return ""
 	}
 	return obj.Pkg().Path()
+}
+
+// constString returns the value of a constant string expression — a literal
+// or a named constant such as `const f = "...%w"` — and whether e is one.
+func constString(info *types.Info, e ast.Expr) (string, bool) {
+	tv, ok := info.Types[e]
+	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
+		return "", false
+	}
+	return constant.StringVal(tv.Value), true
 }

@@ -32,29 +32,41 @@ func moduleRoot(t *testing.T) string {
 // default pure packages — the rule only looks at those.
 var fixturePaths = map[string]string{
 	"ctxflow":     "fix/ctxflow",
-	"lockio":      "fix/lockio",
 	"metricsreg":  "fix/metricsreg",
 	"errwrap":     "fix/errwrap",
 	"determinism": "rased/internal/plan",
 	"poolsafe":    "fix/poolsafe",
-	"faultpath":   "rased/internal/pagestore",
 	"epochsafe":   "rased/internal/tindex",
 	"rpcdeadline": "rased/internal/cluster",
 	"lockorder":   "fix/lockorder",
 	"errsurface":  "fix/errsurface",
 	"hotalloc":    "fix/hotalloc",
+	"lockio":      "fix/lockio",
+	"faultpath":   "fix/faultpath",
+}
+
+// foldedFixtures names the fixtures of rules that were folded into another
+// analyzer, and the analyzer that now enforces their invariant.
+var foldedFixtures = []struct{ fixture, rule string }{
+	{"lockio", "lockorder"},  // blocking work directly under a held lock
+	{"faultpath", "ctxflow"}, // a sleeping loop that ignores ctx
 }
 
 // loadFixture type-checks testdata/src/<name> under the mapped import path
 // with a fresh loader.
 func loadFixture(t *testing.T, name string) (*analysis.Loader, *analysis.Package) {
 	t.Helper()
+	return loadFixtureAs(t, name, fixturePaths[name])
+}
+
+func loadFixtureAs(t *testing.T, name, path string) (*analysis.Loader, *analysis.Package) {
+	t.Helper()
 	loader, err := analysis.NewLoader(moduleRoot(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := filepath.Join("testdata", "src", name)
-	pkg, err := loader.LoadDir(dir, fixturePaths[name])
+	pkg, err := loader.LoadDir(dir, path)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
 	}
@@ -62,28 +74,42 @@ func loadFixture(t *testing.T, name string) (*analysis.Loader, *analysis.Package
 }
 
 // TestAnalyzersAgainstFixtures runs every shipped analyzer over its seeded
-// fixture and diffs the findings against the fixture's want annotations:
-// every seeded violation must fire, and nothing else may.
+// fixture, and each folded fixture under the analyzer that absorbed it, and
+// diffs the findings against the fixture's want annotations: every seeded
+// violation must fire, and nothing else may.
 func TestAnalyzersAgainstFixtures(t *testing.T) {
+	byName := map[string]analysis.Analyzer{}
 	for _, a := range All() {
+		byName[a.Name()] = a
 		a := a
-		t.Run(a.Name(), func(t *testing.T) {
-			loader, pkg := loadFixture(t, a.Name())
-			findings, err := analysis.Run(loader.Fset(), []*analysis.Package{pkg}, []analysis.Analyzer{a}, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			expects, err := analysis.Expectations(loader.Fset(), pkg.Files)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(expects) == 0 {
-				t.Fatalf("fixture for %s has no want annotations", a.Name())
-			}
-			for _, p := range analysis.CheckExpectations(expects, findings) {
-				t.Error(p)
-			}
-		})
+		t.Run(a.Name(), func(t *testing.T) { checkFixture(t, a.Name(), a) })
+	}
+	for _, ff := range foldedFixtures {
+		a, ok := byName[ff.rule]
+		if !ok {
+			t.Fatalf("folded fixture %s names unknown rule %s", ff.fixture, ff.rule)
+		}
+		ff := ff
+		t.Run(ff.fixture, func(t *testing.T) { checkFixture(t, ff.fixture, a) })
+	}
+}
+
+func checkFixture(t *testing.T, fixture string, a analysis.Analyzer) {
+	t.Helper()
+	loader, pkg := loadFixture(t, fixture)
+	findings, err := analysis.Run(loader.Fset(), []*analysis.Package{pkg}, []analysis.Analyzer{a}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	expects, err := analysis.Expectations(loader.Fset(), pkg.Files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(expects) == 0 {
+		t.Fatalf("fixture %s has no want annotations", fixture)
+	}
+	for _, p := range analysis.CheckExpectations(expects, findings) {
+		t.Error(p)
 	}
 }
 
@@ -91,7 +117,7 @@ func TestAnalyzersAgainstFixtures(t *testing.T) {
 // carries its documented rule ID, has a doc line, fires at least once on its
 // fixture, and attributes every finding to its own rule ID.
 func TestAnalyzerMetadata(t *testing.T) {
-	wantIDs := []string{"ctxflow", "lockio", "metricsreg", "errwrap", "determinism", "poolsafe", "faultpath", "epochsafe", "rpcdeadline", "lockorder", "errsurface", "hotalloc"}
+	wantIDs := []string{"ctxflow", "metricsreg", "errwrap", "determinism", "poolsafe", "epochsafe", "rpcdeadline", "lockorder", "errsurface", "hotalloc"}
 	all := All()
 	if len(all) != len(wantIDs) {
 		t.Fatalf("All() returned %d analyzers, want %d", len(all), len(wantIDs))
@@ -119,6 +145,22 @@ func TestAnalyzerMetadata(t *testing.T) {
 				t.Errorf("analyzer %s: finding without a position: %s", a.Name(), f)
 			}
 		}
+	}
+}
+
+// TestDirectives pins the guard that replaced stale-registry detection: a
+// //rased: name no shipped analyzer claims, and a directive outside a
+// function's doc comment, are findings; claimed directives on functions are
+// not.
+func TestDirectives(t *testing.T) {
+	loader, pkg := loadFixtureAs(t, "directive", "fix/directive")
+	findings := analysis.CheckDirectives(loader.Fset(), []*analysis.Package{pkg}, All(), "")
+	expects, err := analysis.Expectations(loader.Fset(), pkg.Files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range analysis.CheckExpectations(expects, findings) {
+		t.Error(p)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Fixture for the epochsafe rule: loaded under the real import path
-// rased/internal/tindex so the scope check applies. The registry lives in
-// epochsafe_reg.go (build-tagged epochreg, read from disk by the analyzer).
-package tindex // want "EpochSwapSites entry \"ghostWriter\" matches no function"
+// rased/internal/tindex so the scope check applies. The audited swap sites
+// carry //rased:pagewrite.
+package tindex
 
 // pager is the fixture's stand-in for the page store interface.
 type pager interface {
@@ -14,12 +14,16 @@ type Index struct {
 	store pager
 }
 
-// writeCube is a registered swap site: no finding.
+// writeCube is an audited swap site: no finding.
+//
+//rased:pagewrite
 func (ix *Index) writeCube(page int, buf []byte) error {
 	return ix.store.WritePage(page, buf)
 }
 
-// writeScratch is a registered swap site: no finding.
+// writeScratch is an audited swap site: no finding.
+//
+//rased:pagewrite
 func (ix *Index) writeScratch(buf []byte) (int, error) {
 	return ix.store.Append(buf)
 }
@@ -43,7 +47,7 @@ func appendDays(days []int, d int) []int {
 	return append(days, d)
 }
 
-// delegate calls a registered site without touching the store itself: the
+// delegate calls an audited site without touching the store itself: the
 // rule audits direct page writes, so no finding.
 func delegate(ix *Index, buf []byte) (int, error) {
 	return ix.writeScratch(buf)

@@ -8,13 +8,3 @@ var ErrSurfaceAllowed = []string{
 	"fix/errsurface.WireError",
 	"fix/errsurface.Gone",
 }
-
-// ErrSurfaceFuncs seeds one stale entry ("Vanished" matches nothing).
-var ErrSurfaceFuncs = []string{
-	"Export",
-	"Vanished",
-}
-
-var ErrSurfaceSinks = []string{
-	"writeErr",
-}

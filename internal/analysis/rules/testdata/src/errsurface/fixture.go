@@ -3,10 +3,10 @@
 // fmt.Errorf-without-%w on paths reachable from a handler, wrapping an
 // unregistered sentinel, and constructing an unregistered error type. The
 // clean patterns — wrapping a registered sentinel, propagating a callee
-// error with %w, errors born in a sink's argument list, functions off the
-// surface — must stay silent. The package-clause annotation covers the
-// registry's seeded stale entries.
-package errsurfacefix // want "ErrSurfaceAllowed entry \"fix/errsurface.Gone\"" "ErrSurfaceFuncs entry \"Vanished\""
+// error with %w, a named-constant format, errors born in a //rased:errsink
+// function's argument list, functions off the surface — must stay silent.
+// The package-clause annotation covers the registry's seeded stale entry.
+package errsurfacefix // want "ErrSurfaceAllowed entry \"fix/errsurface.Gone\""
 
 import (
 	"errors"
@@ -20,6 +20,9 @@ var ErrTemp = errors.New("errsurfacefix: temporarily out")
 
 // ErrRogue is typed but not registered: wrapping it is flagged.
 var ErrRogue = errors.New("errsurfacefix: rogue")
+
+// refusedFmt is a named constant format: it is checked like a literal.
+const refusedFmt = "query %q refused: %w"
 
 // WireError is the registered error type of this surface.
 type WireError struct{ Code string }
@@ -52,6 +55,8 @@ func validate(q string) error {
 		return fmt.Errorf("bad query %q: %w", q, ErrRogue) // want "unregistered sentinel fix/errsurface.ErrRogue"
 	case "z":
 		return fmt.Errorf("query %q refused: %w", q, ErrTemp) // ok: registered sentinel
+	case "c":
+		return fmt.Errorf(refusedFmt, q, ErrTemp) // ok: constant format wrapping a registered sentinel
 	}
 	return parse(q)
 }
@@ -72,20 +77,23 @@ func construct() error {
 	return &WireError{Code: "teapot"} // ok: registered type
 }
 
-// Export is not handler-shaped; it is on the surface only because the
-// registry lists it in ErrSurfaceFuncs.
-func Export() error {
-	return errors.New("export failed") // want "errors.New creates an untyped error"
-}
-
-// writeErr is the registered sink: it takes the status explicitly, so an
-// error born directly in its argument list is already mapped.
+// writeErr is the sink: it takes the status explicitly, so an error born
+// directly in its argument list is already mapped.
+//
+//rased:errsink
 func writeErr(w http.ResponseWriter, status int, err error) {
 	http.Error(w, err.Error(), status)
 }
 
+// logErr has writeErr's shape but no //rased:errsink: an error born in its
+// argument list is still an untyped origin.
+func logErr(w http.ResponseWriter, status int, err error) {
+	writeErr(w, status, err)
+}
+
 func handleDirect(w http.ResponseWriter, r *http.Request) {
 	writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body")) // ok: sink argument
+	logErr(w, http.StatusBadRequest, fmt.Errorf("bad body"))   // want "without %w creates an untyped error"
 }
 
 // offline is unreachable from any surface root: untyped errors here are not

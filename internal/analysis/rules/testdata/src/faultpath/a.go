@@ -1,28 +1,13 @@
-// Fixture for the faultpath rule: loaded under the real import path
-// rased/internal/pagestore so the scope check applies. The registry lives in
-// faultpath_reg.go (build-tagged faultreg, read from disk by the analyzer).
-package pagestore // want "FaultExercised entry \"ReadStale\" matches no exported"
+// Package faultpathfix seeds the retry-loop class: a for loop that sleeps
+// must consult the context, so a cancelled query stops backing off. The
+// ctxflow rule checks it; the clean patterns (ctx.Err in the loop, select on
+// ctx.Done, sleeping only in a spawned goroutine) must stay silent.
+package faultpathfix
 
 import (
 	"context"
-	"errors"
 	"time"
 )
-
-// Store is the fixture's stand-in for the page store.
-type Store struct{}
-
-// ReadGood is registered in faultpath_reg.go: no finding.
-func (s *Store) ReadGood(buf []byte) error { return errors.New("boom") }
-
-// ReadMissing returns an error but is not registered.
-func (s *Store) ReadMissing(buf []byte) error { return errors.New("boom") } // want "fault path ReadMissing is not declared in FaultExercised"
-
-// FetchMissing is a package-level read path, also unregistered.
-func FetchMissing() error { return nil } // want "fault path FetchMissing is not declared in FaultExercised"
-
-// ReadClock returns no error, so it is outside the registry's scope.
-func (s *Store) ReadClock() time.Duration { return 0 }
 
 // retryBad backs off without ever consulting the context.
 func retryBad(ctx context.Context, do func() error) error {

@@ -1,5 +1,6 @@
-// Package lockiofix seeds the lock-held-I/O bug class fixed in pagestore in
-// PR 2, plus the allowed patterns (snapshot under lock, I/O outside it).
+// Package lockiofix seeds blocking work directly under a held lock — the
+// lock-held I/O once fixed in pagestore — plus the allowed patterns
+// (snapshot under lock, I/O outside it). The lockorder rule checks it.
 package lockiofix
 
 import (
@@ -19,15 +20,15 @@ type store struct {
 func (s *store) deferred(buf []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	time.Sleep(time.Millisecond) // want "time.Sleep"
-	_, err := s.f.ReadAt(buf, 0) // want "ReadAt"
+	time.Sleep(time.Millisecond) // want "time.Sleep while fix/lockio.store.mu is held"
+	_, err := s.f.ReadAt(buf, 0) // want "ReadAt disk I/O"
 	s.ch <- 1                    // want "channel send"
 	return err
 }
 
 func (s *store) explicit(path string) error {
 	s.mu.Lock()
-	f, err := os.Open(path) // want "os.Open"
+	f, err := os.Open(path) // want "os.Open file I/O"
 	s.mu.Unlock()
 	if err != nil {
 		return err

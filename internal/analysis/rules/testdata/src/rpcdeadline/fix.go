@@ -1,7 +1,6 @@
 // Fixture for the rpcdeadline rule: loaded under the real import path
-// rased/internal/cluster so the scope check applies. The registry lives in
-// rpcdeadline_reg.go (build-tagged rpcreg, read from disk by the analyzer).
-package cluster // want "RPCDeadlineSites entry \"ghostCaller\" matches no function"
+// rased/internal/cluster so the scope check applies.
+package cluster
 
 import (
 	"context"
@@ -26,9 +25,11 @@ func fetchWithDeadline(ctx context.Context, c *http.Client, url string) error {
 	return resp.Body.Close()
 }
 
-// sendRegistered is a registered site — its callers attach the deadline — and
-// wraps the error: no finding.
-func sendRegistered(c *http.Client, req *http.Request) (*http.Response, error) {
+// sendMarked is marked — its callers attach the deadline — and wraps the
+// error: no finding.
+//
+//rased:callerdeadline
+func sendMarked(c *http.Client, req *http.Request) (*http.Response, error) {
 	resp, err := c.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("round trip: %w", err)
@@ -36,9 +37,10 @@ func sendRegistered(c *http.Client, req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
-// probeNoDeadline fires an RPC with neither an in-body deadline nor a
-// registry entry.
+// probeNoDeadline fires an RPC with neither an in-body deadline nor the
+// directive. The header lookup is not an RPC.
 func probeNoDeadline(c *http.Client, url string) error {
+	_ = http.Header{}.Get("Accept")
 	resp, err := c.Get(url) // want "probeNoDeadline issues an outbound RPC without a context deadline"
 	if err != nil {
 		return fmt.Errorf("probe %s: %w", url, err)

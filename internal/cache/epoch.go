@@ -21,6 +21,8 @@ import (
 // GetAtLeast returns the cached cube for p if its stamp is at least minEpoch,
 // marking it most recently used. An entry below minEpoch counts as a miss but
 // is left in place: the caller's refetch overwrites it with fresher content.
+//
+//rased:hotpath
 func (s *Sharded) GetAtLeast(p temporal.Period, minEpoch uint64) (*cube.Cube, bool) {
 	sh := s.groups[p.Level].shardFor(p.Index)
 	sh.mu.Lock()

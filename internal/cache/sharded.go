@@ -138,6 +138,8 @@ func floorPow2(n int) int {
 }
 
 // shardFor picks the shard holding period index idx within a group.
+//
+//rased:hotpath
 func (g *shardGroup) shardFor(idx int) *shard {
 	if len(g.shards) == 1 {
 		return g.shards[0]
@@ -202,6 +204,8 @@ func (s *Sharded) Bytes() int64 {
 
 // Get returns the cached cube for p, marking it most recently used within
 // its shard and recording a hit or miss.
+//
+//rased:hotpath
 func (s *Sharded) Get(p temporal.Period) (*cube.Cube, bool) {
 	sh := s.groups[p.Level].shardFor(p.Index)
 	sh.mu.Lock()
@@ -247,6 +251,8 @@ func insertCold(order *list.List, capacity int, e *lruEntry) *list.Element {
 
 // Contains reports residency without touching the counters or recency order
 // (the level optimizer uses this to cost plans).
+//
+//rased:hotpath
 func (s *Sharded) Contains(p temporal.Period) bool {
 	sh := s.groups[p.Level].shardFor(p.Index)
 	sh.mu.Lock()

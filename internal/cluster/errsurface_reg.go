@@ -19,9 +19,3 @@ var ErrSurfaceAllowed = []string{
 	"rased/internal/cluster.ErrMapVersion",
 	"rased/internal/cluster.RemoteError",
 }
-
-// ErrSurfaceSinks take the wire code explicitly next to the error: an error
-// built directly in their argument list is already mapped.
-var ErrSurfaceSinks = []string{
-	"writeWireErr",
-}

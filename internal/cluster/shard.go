@@ -285,6 +285,7 @@ func writeWireJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+//rased:errsink
 func writeWireErr(w http.ResponseWriter, code string, err error) {
 	we := wireError{Error: err.Error(), Code: code}
 	if code == CodeRejected {

@@ -119,9 +119,10 @@ func (t *HTTPTransport) do(ctx context.Context, addr, path string, in, out any) 
 	return t.roundTrip(req, addr, path, out)
 }
 
-// roundTrip sends a prepared request and decodes the response. Registered in
-// rpcdeadline_reg.go: its request context always carries a deadline — do()
-// attached one above.
+// roundTrip sends a prepared request and decodes the response. Its request
+// context always carries a deadline — do() attached one above.
+//
+//rased:callerdeadline
 func (t *HTTPTransport) roundTrip(req *http.Request, addr, path string, out any) error {
 	resp, err := t.client().Do(req)
 	if err != nil {

@@ -114,6 +114,8 @@ func dimCounts(list []int, dim int) []uint32 {
 }
 
 // resetScratch zeroes the strided-kernel accumulators.
+//
+//rased:hotpath
 func (ap *AggPlan) resetScratch() {
 	for i := range ap.partial {
 		ap.partial[i] = 0
@@ -126,6 +128,8 @@ func (ap *AggPlan) resetScratch() {
 // flushScratch folds the strided partial sums into dst, creating keys only
 // for groups that saw a nonzero cell (matching the scalar loop), and returns
 // the grand total. mk builds the key for one group value.
+//
+//rased:hotpath
 func (ap *AggPlan) flushScratch(dst map[Key]uint64, mk func(i int) Key) uint64 {
 	var total uint64
 	for i, sum := range ap.partial {
@@ -140,6 +144,8 @@ func (ap *AggPlan) flushScratch(dst map[Key]uint64, mk func(i int) Key) uint64 {
 // sumRun returns the sum and bitwise OR of a cell run. The OR distinguishes
 // "all cells zero" from "sums wrapped to zero" so key presence matches the
 // scalar loop bit for bit.
+//
+//rased:hotpath
 func sumRun(cells []uint64) (sum, or uint64) {
 	for _, v := range cells {
 		sum += v
@@ -149,6 +155,8 @@ func sumRun(cells []uint64) (sum, or uint64) {
 }
 
 // AggregatePlanInto implements Reader using the plan's kernel dispatch.
+//
+//rased:hotpath
 func (cb *Cube) AggregatePlanInto(ap *AggPlan, dst map[Key]uint64) uint64 {
 	switch ap.shape {
 	case aggTotal:
@@ -239,6 +247,8 @@ func (cb *Cube) AggregatePlanInto(ap *AggPlan, dst map[Key]uint64) uint64 {
 
 // aggregateLists is the general path: the scalar reference loop driven by the
 // plan's precompiled value lists.
+//
+//rased:hotpath
 func (cb *Cube) aggregateLists(ap *AggPlan, dst map[Key]uint64) uint64 {
 	var total uint64
 	key := ungroupedKey

@@ -117,6 +117,8 @@ func MarshalPage(cb *Cube, p temporal.Period) []byte {
 // padding — is written, so a recycled buffer needs no prior clearing. The
 // returned slice is dst[:PageSize] and is byte-identical to MarshalPage's
 // output. Unlike MarshalPage, nothing is allocated.
+//
+//rased:hotpath
 func MarshalPageInto(dst []byte, cb *Cube, p temporal.Period) ([]byte, error) {
 	size := PageSize(cb.schema)
 	if len(dst) < size {
@@ -146,6 +148,8 @@ func marshalV1(buf []byte, cb *Cube, p temporal.Period) {
 // the payload CRC — and returns the payload slice, its encoding (always
 // EncDense for v1 pages), and the page's period. It is the single validation
 // path under UnmarshalPage, UnmarshalPageReader, and UnmarshalPageInto.
+//
+//rased:hotpath
 func parsePage(s *Schema, buf []byte, verify bool) ([]byte, byte, temporal.Period, error) {
 	var p temporal.Period
 	if len(buf) < pageHeaderSize {
@@ -216,6 +220,8 @@ func UnmarshalPage(s *Schema, buf []byte) (*Cube, temporal.Period, error) {
 // (typically a pooled scratch cube from PagePool.GetCube). Every cell of dst
 // is overwritten, so the caller need not Reset it first. Unlike UnmarshalPage,
 // nothing is allocated.
+//
+//rased:hotpath
 func UnmarshalPageInto(s *Schema, dst *Cube, buf []byte, verify bool) (temporal.Period, error) {
 	payload, enc, p, err := parsePage(s, buf, verify)
 	if err != nil {
@@ -232,6 +238,8 @@ func UnmarshalPageInto(s *Schema, dst *Cube, buf []byte, verify bool) (temporal.
 
 // decodePayloadInto dispatches a validated payload to its encoding's decoder,
 // overwriting every cell of dst. It allocates nothing.
+//
+//rased:hotpath
 func decodePayloadInto(dst []uint64, enc byte, payload []byte) error {
 	switch enc {
 	case EncSparse:

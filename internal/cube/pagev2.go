@@ -17,8 +17,8 @@ import (
 //
 // Decoding stays on the PR 4 zero-allocation contract: decodeSparseInto and
 // decodeDeltaInto write into a caller-owned cell slice with no temporary
-// state beyond loop counters, and are registered in hotalloc_reg.go alongside
-// the dense path.
+// state beyond loop counters, and are marked //rased:hotpath alongside the
+// dense path.
 
 // Static decode errors: the zero-alloc decoders cannot build fmt errors per
 // failure, and the caller only needs the ErrBadPage class for quarantine.
@@ -140,6 +140,8 @@ func MarshalPageV2(cb *Cube, p temporal.Period) []byte {
 // The returned slice is dst truncated to the padded encoded length and is
 // byte-identical to MarshalPageV2's output. Unlike MarshalPageV2, nothing is
 // allocated.
+//
+//rased:hotpath
 func MarshalPageV2Into(dst []byte, cb *Cube, p temporal.Period) ([]byte, error) {
 	enc, plen := chooseEncoding(cb.cells)
 	padded := (pageHeaderSize + plen + pageAlign - 1) / pageAlign * pageAlign
@@ -196,6 +198,8 @@ func PageInfo(buf []byte) (version uint16, enc byte, encodedLen int, err error) 
 
 // decodeSparseInto decodes an EncSparse payload into dst, overwriting every
 // cell. Zero-alloc: errors are the static sentinels above.
+//
+//rased:hotpath
 func decodeSparseInto(dst []uint64, payload []byte) error {
 	for i := range dst {
 		dst[i] = 0
@@ -238,6 +242,8 @@ func decodeSparseInto(dst []uint64, payload []byte) error {
 // decodeDeltaInto decodes an EncDelta payload into dst, overwriting every
 // cell. The running sum uses wrapping uint64 arithmetic, so the round trip is
 // exact for every cell value including ^uint64(0).
+//
+//rased:hotpath
 func decodeDeltaInto(dst []uint64, payload []byte) error {
 	off, prev := 0, uint64(0)
 	for i := range dst {

@@ -103,6 +103,8 @@ func (sc *SparseCube) AggregateInto(f Filter, g GroupBy, dst map[Key]uint64) uin
 // and the scalar reference loop visits the cell once per repetition), which
 // reproduces AggregateInto bit for bit — including which keys exist, since
 // only nonzero cells are stored and only matched cells touch the map.
+//
+//rased:hotpath
 func (sc *SparseCube) AggregatePlanInto(ap *AggPlan, dst map[Key]uint64) uint64 {
 	if ap.shape == aggTotal {
 		var sum, or uint64

@@ -1,6 +1,6 @@
 package pagestore_test
 
-// The external fault-path suite backing faultpath_reg.go: every exported
+// The external fault-path suite: every exported
 // Read* path of the page store is driven through internal/faultstore and
 // must surface injected faults typed (transient errors retryable, corruption
 // visible in the payload, latency bounded by the context) while fault-free

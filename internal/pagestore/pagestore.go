@@ -368,7 +368,7 @@ func (s *Store) ResetStats() {
 // Sync flushes the file to stable storage. It runs outside the mutex — the
 // file handle never changes after Open, and holding the allocation lock
 // across an fsync would stall every concurrent read and append for the
-// duration of the flush (the lock-held-I/O bug class rased-lint's lockio
+// duration of the flush (the lock-held-I/O bug class rased-lint's lockorder
 // rule exists to keep out).
 func (s *Store) Sync() error {
 	return s.f.Sync()

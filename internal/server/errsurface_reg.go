@@ -16,9 +16,3 @@ var ErrSurfaceAllowed = []string{
 	"rased/internal/exec.ErrRejected",
 	"rased/internal/exec.ErrThrottled",
 }
-
-// ErrSurfaceSinks take the HTTP status explicitly next to the error: an
-// error built directly in their argument list is already mapped.
-var ErrSurfaceSinks = []string{
-	"writeErr",
-}

@@ -81,6 +81,8 @@ func (ix *Index) Tiers() TierStats {
 // one exists, a fresh append otherwise. A failed write returns the extent to
 // the free list — it stays unreachable, and the next recycle fully
 // overwrites whatever the failure left behind.
+//
+//rased:pagewrite
 func (ix *Index) writeExtentScratch(buf []byte) (extentRef, error) {
 	slots := len(buf) / cube.PageAlign
 	ext := extentRef{id: -1}

@@ -163,6 +163,8 @@ func (ix *Index) retireExtent(ext extentRef) {
 // recycled free page when one is available, a fresh append otherwise. A
 // failed write leaves the page on the free list — it stays unreachable, and
 // the next recycle fully overwrites whatever the failure left behind.
+//
+//rased:pagewrite
 func (ix *Index) writeScratch(buf []byte) (int, error) {
 	page := -1
 	ix.lmu.Lock()

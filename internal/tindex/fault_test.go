@@ -1,9 +1,8 @@
 package tindex
 
 // Fault-path tests: the bounded retry loop, the quarantine lifecycle, and
-// pooled-fetch ownership under injected corruption. These are the tests the
-// faultpath lint rule's registry points at — every Read*/Fetch* surface of
-// the index is driven through an injected failure here.
+// pooled-fetch ownership under injected corruption: every Read*/Fetch*
+// surface of the index is driven through an injected failure here.
 
 import (
 	"context"

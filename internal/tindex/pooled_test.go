@@ -74,7 +74,12 @@ func TestFetchPooledSteadyStateAllocs(t *testing.T) {
 	})
 	// sync.Pool gives no hard guarantee, but steady state is the result
 	// slice and little else; the eager path is 5+ allocs including a
-	// multi-KB buffer.
+	// multi-KB buffer. The bound holds only where the pool keeps what it is
+	// given: the race detector drops a random quarter of Puts.
+	if raceEnabled {
+		t.Logf("pooled fetch allocs/op = %v; <= 2 bound not enforced under the race detector, which drops sync.Pool Puts", allocs)
+		return
+	}
 	if allocs > 2 {
 		t.Errorf("pooled fetch allocs/op = %v, want <= 2", allocs)
 	}

@@ -485,6 +485,8 @@ func (ix *Index) ScrubCtx(ctx context.Context) (checked int, err error) {
 // measurable garbage. A period previously compacted cold is pulled back hot
 // (a batch rewrite means it is no longer immutable history); its extent is
 // retired through the epoch machinery so pinned readers drain first.
+//
+//rased:pagewrite
 func (ix *Index) writeCube(p temporal.Period, cb *cube.Cube) error {
 	pb := ix.pool.GetBuf()
 	defer ix.pool.PutBuf(pb)
